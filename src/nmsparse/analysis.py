@@ -21,6 +21,7 @@ from .estimators import (
     EstimatorKind,
     approx24_pair_probs,
     approx24_variance_array,
+    elementwise_variance_array,
     exact24_marginal_probs,
     exact24_pair_probs,
     greedy_mask_array,
@@ -403,23 +404,49 @@ def _closed_form_mse(kind: EstimatorKind, values: np.ndarray, pattern: SparsityP
     raise ValueError(f"unhandled method {kind}")
 
 
-def _expected_frequencies(
+_ONE_OF_TWO = ((0,), (1,))
+
+
+def _kept_set_probs(
     kind: EstimatorKind, values: np.ndarray
-) -> dict[tuple[int, ...], float]:
-    """Kept-index-set distribution implied by the method's probabilities."""
-    row = values[None, :]
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Kept-index sets and, per block, their probabilities implied by the
+    method's probabilities: (sets, (num_blocks, len(sets)) array)."""
     if kind in (EstimatorKind.MVUE12, EstimatorKind.BIASED12):
-        p = mvue12_selection_probs(row)[0]
-        return {(0,): float(p[0]), (1,): float(p[1])}
+        return _ONE_OF_TWO, mvue12_selection_probs(values)
     if kind in (EstimatorKind.UNIFORM12, EstimatorKind.UNBIASED_UNIFORM12):
-        return {(0,): 0.5, (1,): 0.5}
+        return _ONE_OF_TWO, np.full((values.shape[0], 2), 0.5)
     if kind is EstimatorKind.MVUE24_EXACT:
-        table = exact24_pair_probs(row)[0]
-    elif kind is EstimatorKind.MVUE24_APPROX:
-        table = approx24_pair_probs(row)[0]
-    else:
-        raise ValueError(f"no frequency model for {kind}")
-    return {pair: float(p) for pair, p in zip(PAIR_INDEX_COLUMNS, table)}
+        return PAIR_INDEX_COLUMNS, exact24_pair_probs(values)
+    if kind is EstimatorKind.MVUE24_APPROX:
+        return PAIR_INDEX_COLUMNS, approx24_pair_probs(values)
+    raise ValueError(f"no frequency model for {kind}")
+
+
+def _squared_error_sd(
+    kind: EstimatorKind,
+    values: np.ndarray,
+    sets: tuple[tuple[int, ...], ...],
+    probs: np.ndarray,
+) -> np.ndarray:
+    """Per block, the standard deviation of the per-draw squared block
+    error when kept set k is drawn with probability probs[:, k].
+
+    Each kept set has a fixed squared error: survivors are a_i / p_i for
+    the unbiased methods (p_i the marginal of entry i) and a_i otherwise.
+    """
+    keep = np.zeros((len(sets), values.shape[1]), dtype=bool)
+    for k, kept_set in enumerate(sets):
+        keep[k, list(kept_set)] = True
+    survivors = values
+    if kind.is_unbiased:
+        marginals = probs @ keep
+        with np.errstate(invalid="ignore", divide="ignore"):
+            survivors = np.where(marginals > 0.0, values / marginals, 0.0)
+    diff = np.where(keep, survivors[:, None, :], 0.0) - values[:, None, :]
+    err = (diff * diff).sum(axis=2)
+    dev = err - (probs * err).sum(axis=1, keepdims=True)
+    return np.sqrt((probs * dev * dev).sum(axis=1))
 
 
 def random_test_blocks(
@@ -461,6 +488,11 @@ def verify_estimator(
     pattern_failures = 0
 
     mse_expected = _closed_form_mse(kind, blocks, pattern)
+    mse_se_closed = np.zeros(num_blocks)
+    if kind.is_stochastic:
+        kept_sets, set_probs = _kept_set_probs(kind, blocks)
+        mean_se_closed = np.sqrt(elementwise_variance_array(blocks, kind) / samples)
+        mse_se_closed = _squared_error_sd(kind, blocks, kept_sets, set_probs) / math.sqrt(samples)
 
     for idx in range(num_blocks):
         block = Block(blocks[idx])
@@ -473,36 +505,40 @@ def verify_estimator(
         if any(len(kept) != pattern.kept for kept in report.pair_frequencies):
             pattern_failures += 1
 
-        # Each statistical check floors the SE denominator so that the
-        # reported z and the verdict agree: z > sigma is the failure
-        # condition. The floor absorbs constant-sample components (an
-        # always-kept entry has empirical SE 0 and a gap of float
-        # rounding) without weakening detection of genuine bias.
+        # Each statistical check divides by the larger of the empirical and
+        # the closed-form standard error, and a floor, so that the reported
+        # z and the verdict agree: z > sigma is the failure condition. The
+        # closed form keeps the check meaningful where a near-certain keep
+        # or drop leaves a constant sample, whose empirical SE is zero; the
+        # floor absorbs float rounding where both are zero because the
+        # component reproduces its input deterministically.
         if kind.is_stochastic:
             diff = np.abs(report.empirical_mean - blocks[idx])
-            z = float(np.max(diff / np.maximum(report.mean_se, 1e-12 / sigma)))
+            se = np.maximum(np.maximum(report.mean_se, mean_se_closed[idx]), 1e-12 / sigma)
+            z = float(np.max(diff / se))
             worst_z = max(worst_z, z)
             if z > sigma:
                 bias_failures += 1
 
         expected = mse_expected[idx]
         floor = 1e-9 * max(1.0, abs(expected))
-        var_z = abs(report.mse_mean - expected) / max(report.mse_se, floor / sigma)
+        var_z = abs(report.mse_mean - expected) / max(
+            report.mse_se, mse_se_closed[idx], floor / sigma
+        )
         worst_var_z = max(worst_var_z, float(var_z))
         if var_z > sigma:
             var_failures += 1
 
         if kind.is_stochastic:
-            model = _expected_frequencies(kind, blocks[idx])
             block_freq_fail = False
-            for kept_set, p in model.items():
+            for kept_set, p in zip(kept_sets, set_probs[idx]):
                 f = report.pair_frequencies.get(kept_set, 0.0)
                 se = math.sqrt(max(p * (1.0 - p), 0.0) / samples)
                 freq_z = abs(f - p) / max(se, 1e-12 / sigma)
                 worst_freq_z = max(worst_freq_z, freq_z)
                 if freq_z > sigma:
                     block_freq_fail = True
-            observed_extra = set(report.pair_frequencies) - set(model)
+            observed_extra = set(report.pair_frequencies) - set(kept_sets)
             if any(report.pair_frequencies[k] > 0 for k in observed_extra):
                 block_freq_fail = True
             if block_freq_fail:

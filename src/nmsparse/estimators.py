@@ -109,6 +109,11 @@ def _block_matrix(values, m: int | None = None) -> np.ndarray:
     return arr
 
 
+def _magnitude_rows(values: np.ndarray) -> np.ndarray:
+    """Magnitudes of (n, m) blocks as contiguous (m, n) rows."""
+    return np.ascontiguousarray(np.abs(values).T)
+
+
 # ---------------------------------------------------------------------------
 # Greedy magnitude masking
 
@@ -119,11 +124,18 @@ def greedy_mask_array(values: np.ndarray, pattern: SparsityPattern) -> np.ndarra
     Ties are broken toward the lower index, so the result is deterministic.
     """
     values = _block_matrix(values, pattern.m)
-    # argsort of negated magnitudes is descending; stable sort keeps the
-    # original order among equal magnitudes.
-    order = np.argsort(-np.abs(values), axis=1, kind="stable")
-    mask = np.zeros(values.shape, dtype=bool)
-    np.put_along_axis(mask, order[:, : pattern.kept], True, axis=1)
+    mags_t = _magnitude_rows(values)
+    # The rank of row c counts the rows ahead of it. A later row is ahead
+    # of row i only when strictly larger, so ties go to the lower index, as
+    # in a stable argsort of the negated magnitudes. Row i is compared with
+    # all later rows at once.
+    ranks = np.zeros(mags_t.shape, dtype=np.uint8)
+    for i in range(pattern.m - 1):
+        behind = mags_t[i + 1 :] > mags_t[i]
+        ranks[i] += behind.sum(axis=0, dtype=np.uint8)
+        ranks[i + 1 :] += ~behind
+    mask = np.empty(values.shape, dtype=bool)
+    np.less(ranks, pattern.kept, out=mask.T)
     return mask
 
 
@@ -334,11 +346,6 @@ def _sort_by_magnitude(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.take_along_axis(mags, order, axis=1)
 
 
-def _magnitude_rows(values: np.ndarray) -> np.ndarray:
-    """Magnitudes of (n, 4) blocks as contiguous (4, n) rows."""
-    return np.ascontiguousarray(np.abs(values).T)
-
-
 def _sort4(mags_t: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Sorted rows b1 <= b2 <= b3 <= b4 of (4, n) magnitudes, and ranks.
 
@@ -492,11 +499,11 @@ def _approx24_exclusion_rows(mags_t: np.ndarray) -> np.ndarray:
         w1 = m1 / rest1
         w2 = m2 / rest2
         w3 = m3 / rest3
-        inv_s = 1.0 / total
-        probs[0] = (w1 * ps23 + w2 * ps13 + w3 * ps12) * inv_s
-        probs[1] = (w0 * ps23 + w2 * ps03 + w3 * ps02) * inv_s
-        probs[2] = (w0 * ps13 + w1 * ps03 + w3 * ps01) * inv_s
-        probs[3] = (w0 * ps12 + w1 * ps02 + w2 * ps01) * inv_s
+        # Divide by the total: its reciprocal overflows for subnormal totals.
+        probs[0] = (w1 * ps23 + w2 * ps13 + w3 * ps12) / total
+        probs[1] = (w0 * ps23 + w2 * ps03 + w3 * ps02) / total
+        probs[2] = (w0 * ps13 + w1 * ps03 + w3 * ps01) / total
+        probs[3] = (w0 * ps12 + w1 * ps02 + w2 * ps01) / total
     np.minimum(probs, 1.0, out=probs)
     degenerate = (rest0 == 0.0) | (rest1 == 0.0) | (rest2 == 0.0) | (rest3 == 0.0)
     if np.any(degenerate):

@@ -28,6 +28,9 @@ blocking axis, the kept values plus one packed position-index field
 
 from __future__ import annotations
 
+import functools
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -57,6 +60,13 @@ def index_bytes_per_block(pattern: SparsityPattern) -> int:
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
+    # Check a regular file's size first: a header may declare more than
+    # memory holds. Pipes have no size and are read as they come.
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        left = max(st.st_size - fh.tell(), 0)
+        if count > left:
+            raise TensorFormatError(f"truncated {what}: wanted {count} bytes, got {left}")
     data = fh.read(count)
     if len(data) != count:
         raise TensorFormatError(f"truncated {what}: wanted {count} bytes, got {len(data)}")
@@ -156,16 +166,30 @@ class CompressedSparseTensor:
         return (self.values.nbytes + self.indices.nbytes) / dense
 
 
-def _pack_positions(positions: np.ndarray, m: int, nbytes: int) -> np.ndarray:
-    """Pack per-block kept positions into the per-block index field."""
-    bits = _INDEX_BITS[m]
-    codes = np.zeros(positions.shape[0], dtype=np.uint32)
-    for k in range(positions.shape[1]):
-        codes |= positions[:, k].astype(np.uint32) << (bits * k)
-    out = np.zeros((positions.shape[0], nbytes), dtype=np.uint8)
-    for b in range(nbytes):
-        out[:, b] = (codes >> (8 * b)) & 0xFF
-    return out
+@functools.lru_cache(maxsize=None)
+def _code_tables(pattern: SparsityPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per nonzero bit code (bit i: position i nonzero), one row each of the
+    nonzero count, the keep-mask and the packed index field.
+
+    The kept positions are the nonzero ones, padded with the lowest-index
+    zero positions up to pattern.kept, in ascending order.
+    """
+    m, kept = pattern.m, pattern.kept
+    bits, nbytes = _INDEX_BITS[m], index_bytes_per_block(pattern)
+    counts = np.zeros(1 << m, dtype=np.int64)
+    keep = np.zeros((1 << m, m), dtype=bool)
+    packed = np.zeros((1 << m, nbytes), dtype=np.uint8)
+    for code in range(1 << m):
+        nonzero = [i for i in range(m) if code >> i & 1]
+        zero = [i for i in range(m) if not code >> i & 1]
+        positions = sorted((nonzero + zero)[:kept])
+        counts[code] = len(nonzero)
+        keep[code, positions] = True
+        field = sum(pos << (bits * k) for k, pos in enumerate(positions))
+        packed[code] = list(field.to_bytes(nbytes, "little"))
+    for table in (counts, keep, packed):
+        table.flags.writeable = False  # shared by every call
+    return counts, keep, packed
 
 
 def _unpack_positions(indices: np.ndarray, m: int, kept: int) -> np.ndarray:
@@ -188,29 +212,24 @@ def compress(t: BlockedTensor, pattern: SparsityPattern) -> CompressedSparseTens
     """
     blocked, tail = split_axis(t, pattern.m)
     kept = pattern.kept
-    if blocked.shape[0] > 0:
-        nonzero = blocked != 0.0
-        counts = nonzero.sum(axis=1)
-        if np.any(counts > kept):
-            bad = int(np.argmax(counts > kept))
-            raise ValueError(
-                f"block {bad} has {int(counts[bad])} nonzeros; pattern {pattern} allows {kept}"
-            )
-        # Order positions with nonzeros first (both groups by ascending
-        # index), take the first `kept`, then restore ascending order.
-        order = np.argsort(~nonzero, axis=1, kind="stable")
-        positions = np.sort(order[:, :kept], axis=1)
-        values = np.take_along_axis(blocked, positions, axis=1).astype(np.float32)
-        indices = _pack_positions(positions, pattern.m, index_bytes_per_block(pattern))
-    else:
-        values = np.zeros((0, kept), dtype=np.float32)
-        indices = np.zeros((0, index_bytes_per_block(pattern)), dtype=np.uint8)
+    counts, keep, packed = _code_tables(pattern)
+    nonzero = (blocked != 0.0).view(np.uint8)
+    code = np.zeros(blocked.shape[0], dtype=np.uint8)
+    for i in range(pattern.m):
+        code |= nonzero[:, i] << i
+    over = counts[code] > kept
+    if np.any(over):
+        bad = int(np.argmax(over))
+        raise ValueError(
+            f"block {bad} has {int(counts[code[bad]])} nonzeros; pattern {pattern} allows {kept}"
+        )
+    values = blocked[keep[code]].reshape(-1, kept).astype(np.float32)
     return CompressedSparseTensor(
         pattern=pattern,
         shape=t.shape,
         block_axis=t.block_axis,
         values=values,
-        indices=indices,
+        indices=packed[code],
         tail=tail.values.astype(np.float32),
     )
 

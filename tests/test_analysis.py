@@ -271,6 +271,20 @@ class TestVerifyEstimator:
         assert by_name["variance"].passed
         assert by_name["frequency"].passed
 
+    @pytest.mark.parametrize(
+        "kind", [EstimatorKind.MVUE24_EXACT, EstimatorKind.MVUE24_APPROX, EstimatorKind.MVUE12]
+    )
+    def test_default_suite_passes_correct_samplers(self, kind):
+        # Seed 0 has near-certain keeps and drops, whose empirical SE is
+        # zero; the closed-form SE keeps their z finite and meaningful.
+        checks = verify_estimator(kind, num_blocks=100, samples=10_000, seed=0)
+        assert all(c.passed for c in checks), [c.detail for c in checks if not c.passed]
+
+    def test_default_suite_fails_biased(self):
+        checks = verify_estimator(EstimatorKind.BIASED12, num_blocks=100, samples=10_000, seed=0)
+        failed = [c.name for c in checks if not c.passed]
+        assert failed == ["unbiased"]
+
     def test_greedy_gets_oracle_check(self):
         checks = verify_estimator(EstimatorKind.GREEDY_MSE, num_blocks=30, samples=5, seed=2)
         by_name = {c.name: c for c in checks}

@@ -1,13 +1,22 @@
 """End-to-end CLI tests driving main(argv) with temporary files."""
 
 import csv
+import struct
 
 import numpy as np
 import pytest
 
 from nmsparse.cli import EXIT_IO, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, build_parser, main
 from nmsparse.core import BlockedTensor, SparsityPattern, pattern_violations
-from nmsparse.tensorio import decompress, read_compressed, read_tensor, write_tensor
+from nmsparse.tensorio import (
+    DTYPE_FLOAT32,
+    FORMAT_VERSION,
+    TENSOR_MAGIC,
+    decompress,
+    read_compressed,
+    read_tensor,
+    write_tensor,
+)
 
 P24 = SparsityPattern(2, 4)
 
@@ -103,6 +112,16 @@ class TestPrune:
                    "--method", "greedy", "--pattern", "2:4"])
         assert rc == EXIT_IO
         assert "error:" in capsys.readouterr().err
+
+    def test_huge_declared_size_is_io_error(self, tmp_path, capsys):
+        # The header declares 2^40 float32 elements; the file holds 64 bytes.
+        bad = tmp_path / "huge.nmsp"
+        header = struct.pack("<4sHHHQ", TENSOR_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, 1, 1 << 40)
+        bad.write_bytes(header + b"\x00" * 64)
+        rc = main(["prune", str(bad), str(tmp_path / "o.nmsp"),
+                   "--method", "greedy", "--pattern", "2:4"])
+        assert rc == EXIT_IO
+        assert "truncated payload" in capsys.readouterr().err
 
     def test_incompatible_pattern_is_usage_error(self, dense_file, tmp_path, capsys):
         src, _ = dense_file

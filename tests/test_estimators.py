@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 from nmsparse.analysis import random_test_blocks
-from nmsparse.core import Block, BlockedTensor, SparsityPattern, pattern_violations, split_axis
+from nmsparse.core import (
+    SUPPORTED_BLOCK_LENGTHS,
+    Block,
+    BlockedTensor,
+    SparsityPattern,
+    pattern_violations,
+    split_axis,
+)
 from nmsparse.estimators import (
     PAIR_INDEX_COLUMNS,
     EstimatorKind,
@@ -187,6 +194,42 @@ class TestGreedy:
             pruned = prune_greedy(block, pattern)
             assert block_mse(block, pruned) == pytest.approx(mse_oracle, abs=1e-12)
             np.testing.assert_array_equal(pruned.mask.kept, mask_oracle.kept)
+
+
+def reference_greedy_mask(values: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
+    """Keep-masks by a stable argsort of the negated magnitudes, which keeps
+    the original order among equal magnitudes."""
+    order = np.argsort(-np.abs(values), axis=1, kind="stable")
+    mask = np.zeros(values.shape, dtype=bool)
+    np.put_along_axis(mask, order[:, : pattern.kept], True, axis=1)
+    return mask
+
+
+ALL_PATTERNS = [SparsityPattern(n, m) for m in SUPPORTED_BLOCK_LENGTHS for n in range(1, m)]
+
+
+class TestGreedyMatchesArgsortReference:
+    @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+    def test_same_masks(self, pattern):
+        m = pattern.m
+        stream = RandomStream(7, stream=3)
+        random_rows = mixed_blocks(3_000, m, seed=8)
+        # Few distinct magnitudes: many ties, signed ties and zeros.
+        tie_rows = stream.integers(-2, 3, (3_000, m)).astype(float)
+        zero_rows = np.where(stream.uniforms((3_000, m)) < 0.5, 0.0, random_rows)
+        special = np.array([np.zeros(m), -np.zeros(m), np.ones(m), np.arange(m, 0, -1.0)])
+        blocks = np.concatenate([random_rows, tie_rows, zero_rows, special])
+        mask = greedy_mask_array(blocks, pattern)
+        assert mask.flags.c_contiguous
+        np.testing.assert_array_equal(mask, reference_greedy_mask(blocks, pattern))
+
+    def test_empty_and_strided_inputs(self):
+        assert greedy_mask_array(np.zeros((0, 4)), P24).shape == (0, 4)
+        blocks = mixed_blocks(500, 8, seed=9)
+        strided = np.asfortranarray(blocks)[::2]
+        np.testing.assert_array_equal(
+            greedy_mask_array(strided, P48), reference_greedy_mask(strided, P48)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +623,22 @@ class TestApprox24:
         ratio = v_approx / v_exact
         assert np.all(ratio >= 1.0 - 1e-9)
         assert np.all(ratio < 2.0)
+
+    def test_subnormal_block_finite_survivors(self):
+        # S = 1e-309 has no finite reciprocal; the probabilities divide by S
+        # instead, so survivors stay finite and the draw keeps the pair
+        # distribution of the unscaled block.
+        unit = np.array([1.0, -2.0, 3.0, -4.0])
+        row = unit * 1e-310
+        samples = 100_000
+        out, mask = mc_draws(row, EstimatorKind.MVUE24_APPROX, samples, seed=56)
+        assert np.all(np.isfinite(out))
+        codes = mask[:, 0] * 1 + mask[:, 1] * 2 + mask[:, 2] * 4 + mask[:, 3] * 8
+        for (i, j), p in zip(PAIR_INDEX_COLUMNS, approx24_pair_probs(unit[None, :])[0]):
+            freq = (codes == (1 << i) | (1 << j)).mean()
+            assert abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / samples), (i, j)
+        want = np.broadcast_to(row / approx24_inclusion_probs(unit[None, :])[0], out.shape)
+        np.testing.assert_allclose(out[mask], want[mask], rtol=1e-9, atol=0.0)
 
     def test_dominant_entry_keeps_relative_precision(self):
         # When one entry dwarfs the block its exclusion probability is tiny

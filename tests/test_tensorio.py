@@ -1,12 +1,19 @@
 """Binary format tests: dense tensor files and compressed N:M files."""
 
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from nmsparse.core import BlockedTensor, SparsityPattern, pattern_violations
-from nmsparse.estimators import EstimatorKind, prune_tensor
+from nmsparse.core import (
+    SUPPORTED_BLOCK_LENGTHS,
+    BlockedTensor,
+    SparsityPattern,
+    pattern_violations,
+    split_axis,
+)
+from nmsparse.estimators import EstimatorKind, prune_greedy_array, prune_tensor
 from nmsparse.rng import RandomStream
 from nmsparse.tensorio import (
     COMPRESSED_MAGIC,
@@ -105,6 +112,27 @@ class TestDenseFormat:
         with pytest.raises(TensorFormatError, match="truncated"):
             read_tensor(path)
 
+    def test_huge_declared_size_is_format_error(self, tmp_path):
+        # 2^40 float32 elements declare 4 TiB of payload; the size is checked
+        # against the file before anything is read.
+        path = tmp_path / "huge.nmsp"
+        header = struct.pack("<4sHHHQ", TENSOR_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, 1, 1 << 40)
+        path.write_bytes(header + b"\x00" * 64)
+        with pytest.raises(TensorFormatError, match="truncated payload"):
+            read_tensor(path)
+
+    def test_reads_from_a_pipe(self, tmp_path):
+        t = f32_tensor((4, 8), seed=3)
+        write_tensor(tmp_path / "t.nmsp", t)
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, (tmp_path / "t.nmsp").read_bytes())
+            os.close(write_fd)
+            back = read_tensor(f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)
+        np.testing.assert_array_equal(back.as_array(), t.as_array())
+
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "t.nmsp"
         write_tensor(path, f32_tensor((4, 4), seed=4))
@@ -199,6 +227,62 @@ class TestIndexPacking:
         assert decompress(c) == t
 
 
+def reference_compress(t: BlockedTensor, pattern: SparsityPattern) -> CompressedSparseTensor:
+    """Compress by sorting: order positions with nonzeros first (both groups
+    by ascending index), take the first pattern.kept, restore ascending
+    order and pack them field by field."""
+    blocked, tail = split_axis(t, pattern.m)
+    order = np.argsort(blocked == 0.0, axis=1, kind="stable")
+    positions = np.sort(order[:, : pattern.kept], axis=1)
+    values = np.take_along_axis(blocked, positions, axis=1)
+    bits = {2: 1, 4: 2, 8: 3}[pattern.m]
+    codes = np.zeros(positions.shape[0], dtype=np.uint32)
+    for k in range(pattern.kept):
+        codes |= positions[:, k].astype(np.uint32) << (bits * k)
+    indices = np.zeros((positions.shape[0], index_bytes_per_block(pattern)), dtype=np.uint8)
+    for b in range(indices.shape[1]):
+        indices[:, b] = (codes >> (8 * b)) & 0xFF
+    return CompressedSparseTensor(pattern, t.shape, t.block_axis, values, indices, tail.values)
+
+
+ALL_PATTERNS = [SparsityPattern(n, m) for m in SUPPORTED_BLOCK_LENGTHS for n in range(1, m)]
+
+
+class TestCompressMatchesSortReference:
+    def assert_same_file(self, tmp_path, t, pattern):
+        got, want = tmp_path / "got.nmsc", tmp_path / "want.nmsc"
+        write_compressed(got, compress(t, pattern))
+        write_compressed(want, reference_compress(t, pattern))
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+    def test_blocks(self, tmp_path, pattern):
+        m = pattern.m
+        stream = RandomStream(20, stream=4)
+        rows = np.concatenate(
+            [
+                stream.normals((2_000, m)),
+                stream.integers(-2, 3, (2_000, m)).astype(float),  # ties
+            ]
+        ).astype(np.float32).astype(np.float64)
+        pruned, _ = prune_greedy_array(rows, pattern)
+        # Zero-padded blocks: drop some survivors, so fewer than kept remain.
+        padded = np.where(stream.uniforms(pruned.shape) < 0.4, 0.0, pruned)
+        blocks = np.concatenate([pruned, padded, np.zeros((3, m)), -np.zeros((3, m))])
+        self.assert_same_file(tmp_path, BlockedTensor.from_array(blocks), pattern)
+
+    @pytest.mark.parametrize("pattern", [P12, P24, P48, SparsityPattern(1, 8)], ids=str)
+    def test_axis0_tail(self, tmp_path, pattern):
+        t = f32_tensor((5 * pattern.m + 3, 6), seed=21, block_axis=0)
+        pruned = prune_tensor(t, EstimatorKind.GREEDY_MSE, pattern)
+        self.assert_same_file(tmp_path, pruned, pattern)
+
+    def test_violation_names_first_bad_block(self):
+        t = BlockedTensor((1, 12), np.array([1.0, 0, 0, 2, 1, 2, 3, 0, 4, 5, 6, 7]))
+        with pytest.raises(ValueError, match="^block 1 has 3 nonzeros; pattern 2:4 allows 2$"):
+            compress(t, P24)
+
+
 class TestCompressedFiles:
     def roundtrip(self, tmp_path, pattern, shape, block_axis=-1, seed=10):
         t = f32_tensor(shape, seed=seed, block_axis=block_axis)
@@ -261,6 +345,17 @@ class TestCompressedFiles:
             read_compressed(path)
         path.write_bytes(raw + b"!")
         with pytest.raises(TensorFormatError, match="trailing"):
+            read_compressed(path)
+
+    def test_huge_declared_size_is_format_error(self, tmp_path):
+        # 2^40 blocks of 2:4 declare 8 TiB of values; the size is checked
+        # against the file before anything is read.
+        path = tmp_path / "huge.nmsc"
+        header = struct.pack(
+            "<4sHHHHHHQ", COMPRESSED_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, 2, 4, 0, 1, 4 << 40
+        )
+        path.write_bytes(header + b"\x00" * 64)
+        with pytest.raises(TensorFormatError, match="truncated values"):
             read_compressed(path)
 
     def test_corrupt_positions(self, tmp_path):
