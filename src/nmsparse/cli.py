@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_prune(args) -> int:
     tensor = tensorio.read_tensor(args.input)
-    if args.axis != tensor.block_axis:
+    # read_tensor blocks the innermost axis, as --axis -1 does.
+    if args.axis not in (tensor.block_axis, tensor.block_axis - len(tensor.shape)):
         tensor = type(tensor)(tensor.shape, tensor.data, args.axis)
     pattern = estimators.resolve_pattern(args.method, args.pattern)
     stream = RandomStream(args.seed)

@@ -8,12 +8,14 @@ that is carried through unpruned (never padded).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 SUPPORTED_BLOCK_LENGTHS = (2, 4, 8)
+# Set bits of each 8-bit code: the nonzero count of a block's bit code.
+NONZERO_COUNTS = np.array([bin(code).count("1") for code in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,12 @@ class SparsityPattern:
 
     def __str__(self) -> str:
         return f"{self.n}:{self.m}"
+
+
+def _float_data(values) -> np.ndarray:
+    """values as an array of float32 if they are float32, else of float64."""
+    arr = np.asarray(values)
+    return arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
 
 
 def _finite_vector(values, length: int | None = None) -> np.ndarray:
@@ -124,12 +132,15 @@ class PrunedBlock:
 class BlockedTensor:
     """A dense tensor plus the axis along which blocks are formed.
 
-    Data is stored flat in row-major order as float64.
+    Data is stored flat in row-major order and read-only, as float32 when
+    given float32 and as float64 otherwise. A read-only array is shared;
+    one that its owner can still write is copied.
     """
 
     shape: tuple[int, ...]
     data: np.ndarray
     block_axis: int = -1
+    _split: dict = field(default_factory=dict, init=False, repr=False)  # see _coded_split
 
     def __post_init__(self):
         shape = tuple(int(s) for s in self.shape)
@@ -137,15 +148,15 @@ class BlockedTensor:
             raise ValueError("scalar tensors cannot be blocked")
         if any(s < 0 for s in shape):
             raise ValueError(f"negative dimension in shape {shape}")
-        data = np.ascontiguousarray(self.data, dtype=np.float64).reshape(-1)
-        numel = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        arr = _float_data(self.data)
+        data = np.array(arr, order="C", copy=True if arr.flags.writeable else None).reshape(-1)
+        numel = int(np.prod(shape, dtype=np.int64))
         if data.size != numel:
             raise ValueError(f"shape {shape} implies {numel} elements, data has {data.size}")
         axis = self.block_axis
         if not -len(shape) <= axis < len(shape):
             raise ValueError(f"block_axis {axis} out of range for shape {shape}")
         axis = axis % len(shape)
-        data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "data", data)
@@ -153,10 +164,10 @@ class BlockedTensor:
 
     @classmethod
     def from_array(cls, arr, block_axis: int = -1) -> "BlockedTensor":
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = np.asarray(arr)
         if arr.ndim == 0:
             raise ValueError("scalar tensors cannot be blocked")
-        return cls(arr.shape, arr.reshape(-1), block_axis)
+        return cls(arr.shape, arr, block_axis)
 
     def as_array(self) -> np.ndarray:
         return self.data.reshape(self.shape)
@@ -184,7 +195,7 @@ class DenseTail:
     blocks_per_lane: int
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = _float_data(self.values)
         if arr.ndim != 2:
             raise ValueError("tail values must be 2-D (lanes, remainder)")
         if not 0 <= arr.shape[1] < self.block_len:
@@ -206,26 +217,30 @@ class DenseTail:
         return self.values.size == 0
 
 
+def _split_blocks(t: BlockedTensor, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Whole blocks (num_blocks, m) and tail (lanes, remainder) of split_axis;
+    the blocks are a view of t.data if the axis is innermost and divides by m."""
+    moved = np.moveaxis(t.as_array(), t.block_axis, -1)
+    lanes = int(np.prod(moved.shape[:-1], dtype=np.int64))
+    whole = moved.shape[-1] - moved.shape[-1] % m
+    blocks = np.ascontiguousarray(moved[..., :whole]).reshape(lanes * whole // m, m)
+    return blocks, moved[..., whole:].reshape(lanes, moved.shape[-1] - whole)
+
+
 def split_axis(t: BlockedTensor, m: int) -> tuple[np.ndarray, DenseTail]:
     """Array form of block splitting: (num_blocks, m) plus the dense tail.
 
     Blocks are ordered lane-major: all blocks of the first lane, then the
     second, and so on, with lanes enumerated in row-major order of the
-    non-blocked dimensions.
+    non-blocked dimensions. They are a read-only view of t.data when the
+    block axis is innermost and divides by m.
     """
     if m not in SUPPORTED_BLOCK_LENGTHS:
         raise ValueError(f"unsupported block length m={m}")
-    arr = t.as_array()
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(t.data)):
         raise ValueError("non-finite data cannot be split into blocks")
-    moved = np.moveaxis(arr, t.block_axis, -1)
-    axis_len = moved.shape[-1]
-    lanes = int(np.prod(moved.shape[:-1], dtype=np.int64))
-    flat = np.ascontiguousarray(moved).reshape(lanes, axis_len)
-    blocks_per_lane, remainder = divmod(axis_len, m)
-    blocked = flat[:, : blocks_per_lane * m].reshape(lanes * blocks_per_lane, m).copy()
-    tail = DenseTail(flat[:, blocks_per_lane * m :], m, blocks_per_lane)
-    return blocked, tail
+    blocks, tail = _split_blocks(t, m)
+    return blocks, DenseTail(tail, m, t.shape[t.block_axis] // m)
 
 
 def merge_axis(
@@ -241,20 +256,22 @@ def merge_axis(
     m = tail.block_len
     blocks_per_lane, remainder = divmod(axis_len, m)
     lead_shape = shape[:axis] + shape[axis + 1 :]
-    lanes = int(np.prod(lead_shape, dtype=np.int64)) if lead_shape else 1
-    blocks = np.asarray(blocks, dtype=np.float64)
+    lanes = int(np.prod(lead_shape, dtype=np.int64))
+    blocks = _float_data(blocks)
     if blocks.ndim != 2 or blocks.shape != (lanes * blocks_per_lane, m):
         raise ValueError(
             f"expected blocks of shape {(lanes * blocks_per_lane, m)}, got {blocks.shape}"
         )
     if tail.blocks_per_lane != blocks_per_lane or tail.values.shape != (lanes, remainder):
         raise ValueError("tail does not match the target shape")
-    flat = np.concatenate(
-        [blocks.reshape(lanes, blocks_per_lane * m), tail.values], axis=1
-    )
-    moved = flat.reshape(lead_shape + (axis_len,))
-    arr = np.moveaxis(moved, -1, axis)
-    return BlockedTensor(shape, np.ascontiguousarray(arr).reshape(-1), axis)
+    if remainder == 0 and axis == ndim - 1:
+        return BlockedTensor(shape, blocks, axis)
+    out = np.empty(shape, dtype=np.result_type(blocks, tail.values))
+    moved = np.moveaxis(out, axis, -1)
+    moved[..., : axis_len - remainder] = blocks.reshape(lead_shape + (axis_len - remainder,))
+    moved[..., axis_len - remainder :] = tail.values.reshape(lead_shape + (remainder,))
+    out.setflags(write=False)
+    return BlockedTensor(shape, out, axis)
 
 
 def split_into_blocks(
@@ -276,13 +293,27 @@ def merge_blocks(
     return merge_axis(arr, tail, shape, block_axis)
 
 
+def _coded_split(t: BlockedTensor, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_split_blocks of t plus each block's nonzero bit code (bit i: entry i
+    nonzero), kept with the read-only tensor for the pattern check and
+    compress to share."""
+    split = t._split.get(m)
+    if split is None:
+        blocks, tail = _split_blocks(t, m)
+        nonzero = (blocks != 0.0).view(np.uint8)
+        codes = np.zeros(blocks.shape[0], dtype=np.uint8)
+        for i in range(m):
+            codes |= nonzero[:, i] << i
+        codes.setflags(write=False)
+        split = t._split[m] = (blocks, tail, codes)
+    return split
+
+
 def pattern_violations(t: BlockedTensor, pattern: SparsityPattern) -> int:
     """Number of blocks with more than pattern.kept nonzeros (tail ignored).
 
-    Independent structural check used to validate pruner output.
+    Independent structural check used to validate pruner output: it reads
+    the tensor's values, not a pruner's mask.
     """
-    blocked, _ = split_axis(t, pattern.m)
-    if blocked.size == 0:
-        return 0
-    nonzeros = np.count_nonzero(blocked, axis=1)
-    return int(np.sum(nonzeros > pattern.kept))
+    counts = np.take(NONZERO_COUNTS, _coded_split(t, pattern.m)[2])
+    return int(np.count_nonzero(counts > pattern.kept))

@@ -35,8 +35,9 @@ from .core import (
     DenseTail,
     PrunedBlock,
     SparsityPattern,
+    _float_data,
+    _split_blocks,
     merge_axis,
-    split_axis,
 )
 from .rng import RandomStream
 
@@ -101,7 +102,11 @@ def resolve_pattern(kind: EstimatorKind, pattern: SparsityPattern | None) -> Spa
 
 
 def _block_matrix(values, m: int | None = None) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    return _float_blocks(np.asarray(values, dtype=np.float64), m)
+
+
+def _float_blocks(values, m: int | None = None) -> np.ndarray:
+    arr = _float_data(values)
     if arr.ndim != 2:
         raise ValueError(f"expected a (num_blocks, m) array, got shape {arr.shape}")
     if m is not None and arr.shape[1] != m:
@@ -123,7 +128,7 @@ def greedy_mask_array(values: np.ndarray, pattern: SparsityPattern) -> np.ndarra
 
     Ties are broken toward the lower index, so the result is deterministic.
     """
-    values = _block_matrix(values, pattern.m)
+    values = _float_blocks(values, pattern.m)
     mags_t = _magnitude_rows(values)
     # The rank of row c counts the rows ahead of it. A later row is ahead
     # of row i only when strictly larger, so ties go to the lower index, as
@@ -655,15 +660,19 @@ def elementwise_variance_array(values: np.ndarray, kind: EstimatorKind) -> np.nd
 # ---------------------------------------------------------------------------
 # Dispatch
 
-_DRAWS_PER_BLOCK = {
-    EstimatorKind.GREEDY_MSE: 0,
-    EstimatorKind.MVUE12: 1,
-    EstimatorKind.MVUE24_EXACT: 1,
-    EstimatorKind.MVUE24_APPROX: 2,
-    EstimatorKind.BIASED12: 1,
-    EstimatorKind.UNIFORM12: 1,
-    EstimatorKind.UNBIASED_UNIFORM12: 1,
+# Uniforms per block and kernel of each stochastic method.
+_SAMPLERS = {
+    EstimatorKind.MVUE12: (1, lambda v, u: prune_mvue12_array(v, u[:, 0])),
+    EstimatorKind.MVUE24_EXACT: (1, lambda v, u: prune_mvue24_exact_array(v, u[:, 0])),
+    EstimatorKind.MVUE24_APPROX: (2, lambda v, u: prune_mvue24_approx_array(v, u)),
+    EstimatorKind.BIASED12: (1, lambda v, u: prune_biased12_array(v, u[:, 0])),
+    EstimatorKind.UNIFORM12: (1, lambda v, u: prune_uniform12_array(v, u[:, 0], False)),
+    EstimatorKind.UNBIASED_UNIFORM12: (1, lambda v, u: prune_uniform12_array(v, u[:, 0], True)),
 }
+# Blocks per kernel call in prune_array. Each chunk reuses the memory the
+# last one freed instead of faulting in fresh pages; a float64 temporary of
+# 16k 2:4 blocks is 512 KiB, and verify's 10k-draw calls take one chunk.
+PRUNE_CHUNK_BLOCKS = 1 << 14
 
 
 def prune_array(
@@ -674,30 +683,34 @@ def prune_array(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Prune a (num_blocks, m) array with the given method.
 
-    Returns (pruned values, keep mask). Stochastic methods consume
-    _DRAWS_PER_BLOCK uniforms per block from the stream.
+    Returns (pruned values, keep mask), the values in the input's dtype,
+    float32 or float64. The kernel runs on chunks of PRUNE_CHUNK_BLOCKS
+    blocks, drawing their uniforms in order, which gives exactly the
+    uniforms of one draw. Stochastic kernels widen each chunk to float64.
     """
     pattern = resolve_pattern(kind, pattern)
-    values = _block_matrix(values, pattern.m)
-    if kind is EstimatorKind.GREEDY_MSE:
-        return prune_greedy_array(values, pattern)
-    if stream is None:
+    values = _float_blocks(values, pattern.m)
+    if kind.is_stochastic and stream is None:
         raise ValueError(f"method {kind.value!r} is stochastic and needs a RandomStream")
-    draws = _DRAWS_PER_BLOCK[kind]
-    u = stream.uniforms((values.shape[0], draws))
-    if kind is EstimatorKind.MVUE12:
-        return prune_mvue12_array(values, u[:, 0])
-    if kind is EstimatorKind.MVUE24_EXACT:
-        return prune_mvue24_exact_array(values, u[:, 0])
-    if kind is EstimatorKind.MVUE24_APPROX:
-        return prune_mvue24_approx_array(values, u)
-    if kind is EstimatorKind.BIASED12:
-        return prune_biased12_array(values, u[:, 0])
-    if kind is EstimatorKind.UNIFORM12:
-        return prune_uniform12_array(values, u[:, 0], rescale=False)
-    if kind is EstimatorKind.UNBIASED_UNIFORM12:
-        return prune_uniform12_array(values, u[:, 0], rescale=True)
-    raise ValueError(f"unhandled method {kind}")
+    out = mask = None
+    for start in range(0, max(len(values), 1), PRUNE_CHUNK_BLOCKS):
+        chunk = values[start : start + PRUNE_CHUNK_BLOCKS]
+        if kind is EstimatorKind.GREEDY_MSE:
+            part, part_mask = prune_greedy_array(chunk, pattern)
+        else:
+            draws, sampler = _SAMPLERS[kind]
+            part, part_mask = sampler(chunk, stream.uniforms((len(chunk), draws)))
+        # Survivors may overflow float32; the file writers refuse non-finite data.
+        with np.errstate(over="ignore"):
+            if len(chunk) == len(values):
+                return part.astype(values.dtype, copy=False), part_mask
+            if out is None:
+                # The kernels lay their output out like their input.
+                out = np.empty_like(part, dtype=values.dtype, shape=values.shape)
+                mask = np.empty(values.shape, dtype=bool)
+            out[start : start + len(chunk)] = part
+        mask[start : start + len(chunk)] = part_mask
+    return out, mask
 
 
 def prune_tensor(
@@ -706,12 +719,17 @@ def prune_tensor(
     pattern: SparsityPattern | None = None,
     stream: RandomStream | None = None,
 ) -> BlockedTensor:
-    """Prune every whole block along t.block_axis; the tail passes through."""
+    """Prune every whole block along t.block_axis; the tail passes through.
+
+    Keeps the dtype of t.data, which must be finite (read_tensor checks).
+    """
     pattern = resolve_pattern(kind, pattern)
-    blocked, tail = split_axis(t, pattern.m)
-    if blocked.shape[0] > 0:
-        blocked, _ = prune_array(blocked, kind, pattern, stream)
-    return merge_axis(blocked, tail, t.shape, t.block_axis)
+    blocks, tail = _split_blocks(t, pattern.m)
+    if blocks.shape[0] > 0:
+        blocks, _ = prune_array(blocks, kind, pattern, stream)
+        blocks.setflags(write=False)
+    tail = DenseTail(tail, pattern.m, t.shape[t.block_axis] // pattern.m)
+    return merge_axis(blocks, tail, t.shape, t.block_axis)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockedTensor, DenseTail, SparsityPattern, merge_axis, split_axis
+from .core import NONZERO_COUNTS, BlockedTensor, DenseTail, SparsityPattern, _coded_split, merge_axis
 
 TENSOR_MAGIC = b"NMSP"
 COMPRESSED_MAGIC = b"NMSC"
@@ -59,35 +59,50 @@ def index_bytes_per_block(pattern: SparsityPattern) -> int:
     return (_INDEX_BITS[pattern.m] * pattern.kept + 7) // 8
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    # Check a regular file's size first: a header may declare more than
-    # memory holds. Pipes have no size and are read as they come.
+def _read_exact(fh, count: int, what: str) -> bytes | bytearray:
+    # A header may declare more than memory holds. Check a regular file's
+    # size first; read a pipe in pieces of at most 1 MiB, so EOF stops it.
     st = os.fstat(fh.fileno())
     if stat.S_ISREG(st.st_mode):
         left = max(st.st_size - fh.tell(), 0)
         if count > left:
             raise TensorFormatError(f"truncated {what}: wanted {count} bytes, got {left}")
-    data = fh.read(count)
+        data = fh.read(count)
+    else:
+        data = bytearray()
+        while len(data) < count and (piece := fh.read(min(count - len(data), 1 << 20))):
+            data += piece
     if len(data) != count:
         raise TensorFormatError(f"truncated {what}: wanted {count} bytes, got {len(data)}")
     return data
 
 
+def _float32_payload(values: np.ndarray) -> np.ndarray:
+    """values as little-endian float32, checked finite after the cast."""
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(values, dtype="<f4")
+    if not np.all(np.isfinite(payload)):
+        raise ValueError("refusing to write non-finite data")
+    return payload
+
+
 def write_tensor(path, t: BlockedTensor) -> None:
     """Write a dense tensor file; payload is float32."""
-    if not np.all(np.isfinite(t.data)):
-        raise ValueError("refusing to write non-finite data")
+    payload = _float32_payload(t.data)
     header = struct.pack(
         "<4sHHH", TENSOR_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, len(t.shape)
     )
     header += struct.pack(f"<{len(t.shape)}Q", *t.shape)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(t.data.astype("<f4").tobytes())
+        fh.write(payload)
 
 
 def read_tensor(path) -> BlockedTensor:
-    """Read a dense tensor file; the blocking axis defaults to innermost."""
+    """Read a dense tensor file; the blocking axis defaults to innermost.
+
+    The data is the file's float32 payload, read-only and checked finite.
+    """
     with open(path, "rb") as fh:
         magic, version, dtype, ndim = struct.unpack("<4sHHH", _read_exact(fh, 10, "header"))
         if magic != TENSOR_MAGIC:
@@ -105,7 +120,7 @@ def read_tensor(path) -> BlockedTensor:
         payload = _read_exact(fh, 4 * numel, "payload")
         if fh.read(1):
             raise TensorFormatError("trailing bytes after payload")
-    data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    data = np.frombuffer(payload, dtype="<f4")
     if not np.all(np.isfinite(data)):
         raise TensorFormatError("payload contains non-finite values")
     return BlockedTensor(shape, data, block_axis=len(shape) - 1)
@@ -167,29 +182,27 @@ class CompressedSparseTensor:
 
 
 @functools.lru_cache(maxsize=None)
-def _code_tables(pattern: SparsityPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _code_tables(pattern: SparsityPattern) -> tuple[np.ndarray, np.ndarray]:
     """Per nonzero bit code (bit i: position i nonzero), one row each of the
-    nonzero count, the keep-mask and the packed index field.
+    keep-mask and the packed index field.
 
     The kept positions are the nonzero ones, padded with the lowest-index
     zero positions up to pattern.kept, in ascending order.
     """
     m, kept = pattern.m, pattern.kept
     bits, nbytes = _INDEX_BITS[m], index_bytes_per_block(pattern)
-    counts = np.zeros(1 << m, dtype=np.int64)
     keep = np.zeros((1 << m, m), dtype=bool)
     packed = np.zeros((1 << m, nbytes), dtype=np.uint8)
     for code in range(1 << m):
         nonzero = [i for i in range(m) if code >> i & 1]
         zero = [i for i in range(m) if not code >> i & 1]
         positions = sorted((nonzero + zero)[:kept])
-        counts[code] = len(nonzero)
         keep[code, positions] = True
         field = sum(pos << (bits * k) for k, pos in enumerate(positions))
         packed[code] = list(field.to_bytes(nbytes, "little"))
-    for table in (counts, keep, packed):
+    for table in (keep, packed):
         table.flags.writeable = False  # shared by every call
-    return counts, keep, packed
+    return keep, packed
 
 
 def _unpack_positions(indices: np.ndarray, m: int, kept: int) -> np.ndarray:
@@ -206,31 +219,29 @@ def _unpack_positions(indices: np.ndarray, m: int, kept: int) -> np.ndarray:
 def compress(t: BlockedTensor, pattern: SparsityPattern) -> CompressedSparseTensor:
     """Compress a tensor that satisfies the pattern along t.block_axis.
 
-    Raises if any block has more than pattern.kept nonzeros. Blocks with
-    fewer nonzeros are padded with the lowest-index zero positions so each
-    block always records exactly pattern.kept slots.
+    Raises if any block has more than pattern.kept nonzeros, or if a value
+    is not finite as float32. Blocks with fewer nonzeros are padded with
+    the lowest-index zero positions so each block always records exactly
+    pattern.kept slots.
     """
-    blocked, tail = split_axis(t, pattern.m)
+    blocked, tail, code = _coded_split(t, pattern.m)
     kept = pattern.kept
-    counts, keep, packed = _code_tables(pattern)
-    nonzero = (blocked != 0.0).view(np.uint8)
-    code = np.zeros(blocked.shape[0], dtype=np.uint8)
-    for i in range(pattern.m):
-        code |= nonzero[:, i] << i
-    over = counts[code] > kept
+    keep, packed = _code_tables(pattern)
+    over = np.take(NONZERO_COUNTS, code) > kept
     if np.any(over):
         bad = int(np.argmax(over))
         raise ValueError(
-            f"block {bad} has {int(counts[code[bad]])} nonzeros; pattern {pattern} allows {kept}"
+            f"block {bad} has {NONZERO_COUNTS[code[bad]]} nonzeros; pattern {pattern} allows {kept}"
         )
-    values = blocked[keep[code]].reshape(-1, kept).astype(np.float32)
+    # np.take and np.compress: several times faster than fancy indexing.
+    kept_values = np.compress(np.take(keep, code, axis=0).reshape(-1), blocked.reshape(-1))
     return CompressedSparseTensor(
         pattern=pattern,
         shape=t.shape,
         block_axis=t.block_axis,
-        values=values,
-        indices=packed[code],
-        tail=tail.values.astype(np.float32),
+        values=_float32_payload(kept_values).reshape(-1, kept),
+        indices=np.take(packed, code, axis=0),
+        tail=_float32_payload(tail),
     )
 
 
@@ -243,6 +254,7 @@ def decompress(c: CompressedSparseTensor) -> BlockedTensor:
         np.put_along_axis(blocked, positions, c.values.astype(np.float64), axis=1)
     axis_len = c.shape[c.block_axis]
     tail = DenseTail(c.tail.astype(np.float64), m, axis_len // m)
+    blocked.setflags(write=False)
     return merge_axis(blocked, tail, c.shape, c.block_axis)
 
 
@@ -260,9 +272,9 @@ def write_compressed(path, c: CompressedSparseTensor) -> None:
     header += struct.pack(f"<{len(c.shape)}Q", *c.shape)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(c.values, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(c.indices).tobytes())
-        fh.write(np.ascontiguousarray(c.tail, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(c.values, dtype="<f4"))
+        fh.write(np.ascontiguousarray(c.indices))
+        fh.write(np.ascontiguousarray(c.tail, dtype="<f4"))
 
 
 def read_compressed(path) -> CompressedSparseTensor:

@@ -8,13 +8,17 @@ import pytest
 
 from nmsparse.cli import EXIT_IO, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, build_parser, main
 from nmsparse.core import BlockedTensor, SparsityPattern, pattern_violations
+from nmsparse.estimators import EstimatorKind, prune_tensor
+from nmsparse.rng import RandomStream
 from nmsparse.tensorio import (
     DTYPE_FLOAT32,
     FORMAT_VERSION,
     TENSOR_MAGIC,
+    compress,
     decompress,
     read_compressed,
     read_tensor,
+    write_compressed,
     write_tensor,
 )
 
@@ -122,6 +126,46 @@ class TestPrune:
                    "--method", "greedy", "--pattern", "2:4"])
         assert rc == EXIT_IO
         assert "truncated payload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["mvue24", "approx24", "mvue12"])
+    def test_float32_overflow_is_refused(self, tmp_path, capsys, method):
+        # Survivors of 3e38 entries are exact in float64 but beyond float32.
+        src = tmp_path / "big.nmsp"
+        write_tensor(src, BlockedTensor.from_array(np.full((4, 8), 3e38, dtype=np.float32)))
+        out, comp = tmp_path / "o.nmsp", tmp_path / "o.nmsc"
+        rc = main(["prune", str(src), str(out), "--method", method, "--compressed", str(comp)])
+        assert rc == EXIT_USAGE
+        assert "refusing to write non-finite data" in capsys.readouterr().err
+        assert not out.exists() and not comp.exists()
+
+    @pytest.mark.parametrize("axis", ["2", "-3"])
+    def test_out_of_range_axis_is_usage_error(self, dense_file, tmp_path, capsys, axis):
+        src, _ = dense_file
+        rc = main(["prune", str(src), str(tmp_path / "o.nmsp"), "--method", "greedy",
+                   "--pattern", "2:4", "--axis", axis])
+        assert rc == EXIT_USAGE
+        assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["greedy", "mvue24"])
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_float32_file_matches_float64_reference(self, tmp_path, capsys, method, axis):
+        # 258 x 515 holds more than two 16k-block chunks along either axis,
+        # with a tail of 3 (axis -1) or 2 (axis 0). The float64 tensor path,
+        # cast to float32 at the end, must give the same bytes.
+        arr = RandomStream(17).normals((258, 515)).astype(np.float32)
+        src = tmp_path / "in.nmsp"
+        write_tensor(src, BlockedTensor.from_array(arr))
+        out, comp = tmp_path / "o.nmsp", tmp_path / "o.nmsc"
+        rc = main(["prune", str(src), str(out), "--method", method, "--pattern", "2:4",
+                   "--seed", "5", "--axis", str(axis), "--compressed", str(comp)])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        wide = BlockedTensor.from_array(arr.astype(np.float64), block_axis=axis)
+        kind = EstimatorKind.from_name(method)
+        ref = prune_tensor(wide, kind, P24, RandomStream(5)).as_array().astype(np.float32)
+        assert out.read_bytes()[-ref.nbytes:] == ref.tobytes()
+        write_compressed(tmp_path / "ref.nmsc", compress(BlockedTensor.from_array(ref, axis), P24))
+        assert comp.read_bytes() == (tmp_path / "ref.nmsc").read_bytes()
 
     def test_incompatible_pattern_is_usage_error(self, dense_file, tmp_path, capsys):
         src, _ = dense_file

@@ -87,6 +87,21 @@ class TestBlockedTensor:
         with pytest.raises(ValueError):
             BlockedTensor.from_array(np.float64(3.0))
 
+    def test_float32_kept_other_dtypes_widened(self):
+        assert BlockedTensor.from_array(np.ones((2, 4), np.float32)).data.dtype == np.float32
+        assert BlockedTensor.from_array(np.ones((2, 4), np.float16)).data.dtype == np.float64
+        assert BlockedTensor.from_array(np.arange(8).reshape(2, 4)).data.dtype == np.float64
+
+    def test_writable_input_is_copied_read_only_input_shared(self):
+        arr = np.arange(8.0).reshape(2, 4)
+        t = BlockedTensor.from_array(arr)
+        arr[0, 0] = 99.0
+        assert t.as_array()[0, 0] == 0.0
+        assert not t.data.flags.writeable
+        frozen = np.arange(8.0)
+        frozen.setflags(write=False)
+        assert np.shares_memory(BlockedTensor((2, 4), frozen).data, frozen)
+
     def test_equality(self):
         a = BlockedTensor.from_array(np.arange(8.0).reshape(2, 4))
         b = BlockedTensor.from_array(np.arange(8.0).reshape(2, 4))

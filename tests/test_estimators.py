@@ -7,6 +7,7 @@ partner). Monte-Carlo checks run at the 5-sigma level with fixed seeds.
 """
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from nmsparse.core import (
 )
 from nmsparse.estimators import (
     PAIR_INDEX_COLUMNS,
+    PRUNE_CHUNK_BLOCKS,
     EstimatorKind,
     _exact24_pair_table_sorted,
     analytic_variance_from_probs,
@@ -40,6 +42,7 @@ from nmsparse.estimators import (
     mvue12_variance_array,
     prune_array,
     prune_baseline,
+    prune_biased12_array,
     prune_greedy,
     prune_greedy_array,
     prune_mvue12,
@@ -49,10 +52,12 @@ from nmsparse.estimators import (
     prune_mvue24_exact,
     prune_mvue24_exact_array,
     prune_tensor,
+    prune_uniform12_array,
     resolve_pattern,
     variance_from_probs_array,
 )
 from nmsparse.rng import RandomStream
+from nmsparse.tensorio import read_tensor, write_tensor
 
 P12 = SparsityPattern(1, 2)
 P24 = SparsityPattern(2, 4)
@@ -936,3 +941,85 @@ class TestPruneTensor:
         for _ in range(n):
             total += prune_tensor(t, EstimatorKind.MVUE12, P12, stream).as_array()
         np.testing.assert_allclose(total / n, arr, atol=0.2)
+
+
+def whole_array_kernel(values: np.ndarray, kind: EstimatorKind, seed: int):
+    """The kernel called once on all blocks, with the uniforms of one draw."""
+    pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
+    if kind is EstimatorKind.GREEDY_MSE:
+        return prune_greedy_array(values, pattern)
+    draws = 2 if kind is EstimatorKind.MVUE24_APPROX else 1
+    u = RandomStream(seed).uniforms((values.shape[0], draws))
+    return {
+        EstimatorKind.MVUE12: lambda: prune_mvue12_array(values, u[:, 0]),
+        EstimatorKind.MVUE24_EXACT: lambda: prune_mvue24_exact_array(values, u[:, 0]),
+        EstimatorKind.MVUE24_APPROX: lambda: prune_mvue24_approx_array(values, u),
+        EstimatorKind.BIASED12: lambda: prune_biased12_array(values, u[:, 0]),
+        EstimatorKind.UNIFORM12: lambda: prune_uniform12_array(values, u[:, 0], False),
+        EstimatorKind.UNBIASED_UNIFORM12: lambda: prune_uniform12_array(values, u[:, 0], True),
+    }[kind]()
+
+
+CHUNK_EDGES = (PRUNE_CHUNK_BLOCKS - 1, PRUNE_CHUNK_BLOCKS, PRUNE_CHUNK_BLOCKS + 1,
+               2 * PRUNE_CHUNK_BLOCKS + 3)
+
+
+class TestPruneArrayChunks:
+    """prune_array runs the kernel chunk by chunk; the result must be the
+    kernel's on the whole array, bit for bit."""
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("blocks", CHUNK_EDGES)
+    def test_bit_identical_to_one_kernel_call(self, kind, blocks):
+        pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
+        values = random_test_blocks(blocks, pattern.m, seed=blocks)
+        values[::7] = 0.0  # degenerate blocks land in every chunk
+        out, mask = prune_array(values, kind, pattern, RandomStream(90))
+        ref_out, ref_mask = whole_array_kernel(values, kind, 90)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out.view(np.uint64), ref_out.view(np.uint64))
+        np.testing.assert_array_equal(mask, ref_mask)
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_float32_blocks_give_the_float64_result_cast(self, kind):
+        pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
+        values = random_test_blocks(CHUNK_EDGES[-1], pattern.m, seed=91).astype(np.float32)
+        out, mask = prune_array(values, kind, pattern, RandomStream(92))
+        ref_out, ref_mask = whole_array_kernel(values.astype(np.float64), kind, 92)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.view(np.uint32), ref_out.astype(np.float32).view(np.uint32))
+        np.testing.assert_array_equal(mask, ref_mask)
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_broadcast_input_keeps_the_kernel_layout(self, kind):
+        # A broadcast row gives a column-major kernel output, whose axis-0
+        # mean of a constant column is exact; the chunked output keeps it.
+        pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
+        row = random_test_blocks(1, pattern.m, seed=93)[0]
+        tiled = np.broadcast_to(row, (2 * PRUNE_CHUNK_BLOCKS + 3, pattern.m))
+        out, _ = prune_array(tiled, kind, pattern, RandomStream(94))
+        ref_out, _ = whole_array_kernel(tiled, kind, 94)
+        assert out.strides == ref_out.strides
+        np.testing.assert_array_equal(out, ref_out)
+
+
+class TestPruneTensorMemory:
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_peak_stays_within_three_payloads(self, kind, tmp_path):
+        # What prune_tensor allocates on top of the tensor it reads: the
+        # output, the mask and one chunk's temporaries, no full-size float64.
+        path = tmp_path / "t.nmsp"
+        values = RandomStream(95).normals((1024, 1024)).astype(np.float32)
+        write_tensor(path, BlockedTensor.from_array(values))
+        pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
+        tracemalloc.start()
+        try:
+            t = read_tensor(path)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            pruned = prune_tensor(t, kind, pattern, RandomStream(96))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.data.dtype == np.float32 and pruned.data.dtype == np.float32
+        assert peak - before <= 3 * values.nbytes

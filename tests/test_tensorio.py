@@ -133,6 +133,31 @@ class TestDenseFormat:
             os.close(read_fd)
         np.testing.assert_array_equal(back.as_array(), t.as_array())
 
+    def test_huge_declared_size_from_a_pipe_is_format_error(self):
+        # A pipe has no size to check: it is read in bounded pieces up to EOF.
+        header = struct.pack("<4sHHHQ", TENSOR_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, 1, 1 << 40)
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, header + b"\x00" * 64)
+            os.close(write_fd)
+            with pytest.raises(TensorFormatError, match="truncated payload"):
+                read_tensor(f"/dev/fd/{read_fd}")
+        finally:
+            os.close(read_fd)
+
+    def test_float32_payload_is_kept_without_copies(self, tmp_path):
+        t = f32_tensor((4, 8), seed=5)
+        write_tensor(tmp_path / "t.nmsp", t)
+        back = read_tensor(tmp_path / "t.nmsp")
+        assert back.data.dtype == np.float32 and not back.data.flags.writeable
+        assert BlockedTensor(back.shape, back.data, 0).data.base is back.data.base
+
+    def test_float64_beyond_float32_range_is_refused(self, tmp_path):
+        path = tmp_path / "t.nmsp"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_tensor(path, BlockedTensor((1, 2), np.array([1.0, 1e39])))
+        assert not path.exists()
+
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "t.nmsp"
         write_tensor(path, f32_tensor((4, 4), seed=4))
@@ -281,6 +306,16 @@ class TestCompressMatchesSortReference:
         t = BlockedTensor((1, 12), np.array([1.0, 0, 0, 2, 1, 2, 3, 0, 4, 5, 6, 7]))
         with pytest.raises(ValueError, match="^block 1 has 3 nonzeros; pattern 2:4 allows 2$"):
             compress(t, P24)
+
+
+class TestCompressOverflow:
+    def test_float64_beyond_float32_range_is_refused(self):
+        t = BlockedTensor((1, 4), np.array([1e39, 0.0, 0.0, 2.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            compress(t, P24)
+        tail = BlockedTensor((1, 5), np.array([1.0, 0.0, 0.0, 2.0, -1e39]))
+        with pytest.raises(ValueError, match="non-finite"):
+            compress(tail, P24)
 
 
 class TestCompressedFiles:
