@@ -34,15 +34,12 @@ from .estimators import (
 )
 from .analysis import (
     McReport,
-    ScanRecord,
     brute_force_min_mse_mask,
     expected_macs,
     mc_estimate,
     scan_summary,
     variance_gap_d,
-    variance_ratio_scan,
     verify_estimator,
-    write_scan_csv,
 )
 from .rng import RandomStream
 from .tensorio import (
@@ -78,7 +75,6 @@ __all__ = [
     "MlpConfig",
     "PrunedBlock",
     "RandomStream",
-    "ScanRecord",
     "SparsityPattern",
     "TensorFormatError",
     "TrainRecord",
@@ -112,9 +108,7 @@ __all__ = [
     "split_into_blocks",
     "train",
     "variance_gap_d",
-    "variance_ratio_scan",
     "verify_estimator",
     "write_compressed",
-    "write_scan_csv",
     "write_tensor",
 ]

@@ -8,10 +8,11 @@ overlap, and an exhaustive-search oracle for minimum-MSE masks.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from statistics import NormalDist
 
 import numpy as np
 
@@ -204,20 +205,10 @@ def variance_gap_arrays(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class ScanRecord:
-    """One grid point of the variance-ratio scan; ratio is None when the
-    exact variance is numerically zero."""
-
-    a1: float
-    a2: float
-    a3: float
-    var_exact: float
-    var_approx: float
-    ratio: float | None
-
-
-@dataclass(frozen=True)
 class ScanSummary:
+    """Grid points seen, points skipped for a numerically zero exact
+    variance, and the largest ratio with the first point that reaches it."""
+
     points: int
     skipped: int
     max_ratio: float
@@ -251,84 +242,61 @@ def refine_edge_axis(points: int = 40, floor: float = 1e-6) -> np.ndarray:
     return np.geomspace(floor, 1.0, points)
 
 
-def _scan_point_chunks(step: float, refine_edges: bool) -> Iterator[np.ndarray]:
-    axis = _grid_axis(step)
-    a2, a3 = np.meshgrid(axis, axis, indexing="ij")
-    plane = np.stack([a2.ravel(), a3.ravel()], axis=1)
-    for a1 in axis:
-        yield np.column_stack([np.full(plane.shape[0], a1), plane])
-    if refine_edges:
-        edge = refine_edge_axis()
-        e2, e3 = np.meshgrid(edge, edge, indexing="ij")
-        eplane = np.stack([e2.ravel(), e3.ravel()], axis=1)
-        for a1 in edge:
-            yield np.column_stack([np.full(eplane.shape[0], a1), eplane])
+SCAN_CSV_HEADER = "a1,a2,a3,var_exact,var_approx,ratio"
 
 
-def variance_ratio_scan(
-    step: float = 0.02, refine_edges: bool = False
-) -> Iterator[ScanRecord]:
-    """Stream ScanRecords over the grid (plus refined edges if requested)."""
-    for points in _scan_point_chunks(step, refine_edges):
-        var_exact, var_approx, ratio = _ratio_chunk(points)
-        for k in range(points.shape[0]):
-            r = ratio[k]
-            yield ScanRecord(
-                a1=float(points[k, 0]),
-                a2=float(points[k, 1]),
-                a3=float(points[k, 2]),
-                var_exact=float(var_exact[k]),
-                var_approx=float(var_approx[k]),
-                ratio=None if math.isnan(r) else float(r),
-            )
+def _repr_texts(values: np.ndarray) -> list[str]:
+    """repr() of each value, as Python's shortest round-trip float text."""
+    return repr(values.tolist())[1:-1].split(", ")
 
 
-def scan_summary(step: float = 0.02, refine_edges: bool = False) -> ScanSummary:
-    """Reduce the scan to its maximum ratio without materializing records."""
+def scan_summary(
+    step: float = 0.02, refine_edges: bool = False, csv_path=None
+) -> ScanSummary:
+    """Scan the grid (plus refined edges if requested) and reduce it to
+    its maximum ratio, one chunk of points per a1 value.
+
+    With ``csv_path`` every point is also written as a CSV line (header
+    above, '.' decimal separator, LF line endings, ``repr`` digits, an
+    empty ratio field for a skipped point), one write per chunk. The step
+    is validated before the file is opened.
+    """
+    axes = [_grid_axis(step)] + ([refine_edge_axis()] if refine_edges else [])
     points_seen = 0
     skipped = 0
     max_ratio = -math.inf
     worst = (0.0, 0.0, 0.0)
-    for points in _scan_point_chunks(step, refine_edges):
-        _, _, ratio = _ratio_chunk(points)
-        points_seen += points.shape[0]
-        nan = np.isnan(ratio)
-        skipped += int(nan.sum())
-        if np.all(nan):
-            continue
-        k = int(np.nanargmax(ratio))
-        if ratio[k] > max_ratio:
-            max_ratio = float(ratio[k])
-            worst = (float(points[k, 0]), float(points[k, 1]), float(points[k, 2]))
+    with (open(csv_path, "w", encoding="ascii", newline="\n") if csv_path is not None
+          else contextlib.nullcontext()) as fh:
+        if fh is not None:
+            fh.write(SCAN_CSV_HEADER + "\n")
+        for axis in axes:
+            a2, a3 = np.meshgrid(axis, axis, indexing="ij")
+            points = np.column_stack([np.empty(a2.size), a2.ravel(), a3.ravel()])
+            if fh is not None:
+                axis_text = _repr_texts(axis)
+                plane_text = [f"{b},{c}" for b in axis_text for c in axis_text]
+            for i, a1 in enumerate(axis):
+                points[:, 0] = a1
+                var_exact, var_approx, ratio = _ratio_chunk(points)
+                points_seen += points.shape[0]
+                nan = np.isnan(ratio)
+                chunk_skipped = int(nan.sum())
+                skipped += chunk_skipped
+                if chunk_skipped < nan.size:
+                    k = int(np.nanargmax(ratio))
+                    if ratio[k] > max_ratio:
+                        max_ratio = float(ratio[k])
+                        worst = (float(points[k, 0]), float(points[k, 1]), float(points[k, 2]))
+                if fh is None:
+                    continue
+                ratio_text = _repr_texts(ratio)
+                for j in np.flatnonzero(nan):
+                    ratio_text[j] = ""
+                fields = zip(itertools.repeat(axis_text[i]), plane_text,
+                             _repr_texts(var_exact), _repr_texts(var_approx), ratio_text)
+                fh.write("\n".join(map(",".join, fields)) + "\n")
     return ScanSummary(points=points_seen, skipped=skipped, max_ratio=max_ratio, worst_point=worst)
-
-
-SCAN_CSV_HEADER = "a1,a2,a3,var_exact,var_approx,ratio"
-
-
-def write_scan_csv(path, records: Iterable[ScanRecord]) -> ScanSummary:
-    """Write records as CSV (header above, '.' decimal separator, LF line
-    endings) and return the running summary."""
-    points = 0
-    skipped = 0
-    max_ratio = -math.inf
-    worst = (0.0, 0.0, 0.0)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(SCAN_CSV_HEADER + "\n")
-        for rec in records:
-            points += 1
-            if rec.ratio is None:
-                skipped += 1
-                ratio_text = ""
-            else:
-                ratio_text = repr(rec.ratio)
-                if rec.ratio > max_ratio:
-                    max_ratio = rec.ratio
-                    worst = (rec.a1, rec.a2, rec.a3)
-            fh.write(
-                f"{rec.a1!r},{rec.a2!r},{rec.a3!r},{rec.var_exact!r},{rec.var_approx!r},{ratio_text}\n"
-            )
-    return ScanSummary(points=points, skipped=skipped, max_ratio=max_ratio, worst_point=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +417,35 @@ def _squared_error_sd(
     return np.sqrt((probs * dev * dev).sum(axis=1))
 
 
+_EXACT_TAIL_MEAN = 10.0
+
+
+def _frequency_z(count: int, samples: int, p: float, sigma: float) -> float:
+    """z of ``count`` draws, among ``samples``, of a kept set of probability p.
+
+    Where either outcome is expected fewer than _EXACT_TAIL_MEAN times, the
+    normal approximation misjudges the count (two draws of a set with
+    p = 1.4e-5 in 10,000 read as z = 4.96). There z is the normal quantile
+    of the exact binomial tail in the direction of the deviation, so z >
+    sigma still means that tail is below the one-sided normal tail at sigma.
+    """
+    if min(p, 1.0 - p) * samples >= _EXACT_TAIL_MEAN:
+        se = math.sqrt(p * (1.0 - p) / samples)
+        return abs(count / samples - p) / max(se, 1e-12 / sigma)
+    if p > 0.5:  # count the draws without the set
+        count, p = samples - count, 1.0 - p
+    if p == 0.0:
+        return 0.0 if count == 0 else math.inf
+    # Above the mean, terms beyond count + 40 are below 1e-17 of the first.
+    ks = range(count + 1) if count <= p * samples else range(count, min(samples, count + 40) + 1)
+    log_n = math.lgamma(samples + 1)
+    tail = sum(math.exp(log_n - math.lgamma(k + 1) - math.lgamma(samples - k + 1)
+                        + k * math.log(p) + (samples - k) * math.log1p(-p)) for k in ks)
+    if tail == 0.0:
+        return math.inf
+    return -NormalDist().inv_cdf(tail) if tail < 0.5 else 0.0
+
+
 def random_test_blocks(
     count: int, m: int, seed: int, heavy_tail_fraction: float = 0.5
 ) -> np.ndarray:
@@ -532,9 +529,8 @@ def verify_estimator(
         if kind.is_stochastic:
             block_freq_fail = False
             for kept_set, p in zip(kept_sets, set_probs[idx]):
-                f = report.pair_frequencies.get(kept_set, 0.0)
-                se = math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-                freq_z = abs(f - p) / max(se, 1e-12 / sigma)
+                count = round(report.pair_frequencies.get(kept_set, 0.0) * samples)
+                freq_z = _frequency_z(count, samples, float(p), sigma)
                 worst_freq_z = max(worst_freq_z, freq_z)
                 if freq_z > sigma:
                     block_freq_fail = True

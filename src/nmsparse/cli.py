@@ -130,8 +130,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    records = analysis.variance_ratio_scan(step=args.step, refine_edges=args.refine_edges)
-    summary = analysis.write_scan_csv(args.out, records)
+    summary = analysis.scan_summary(args.step, args.refine_edges, csv_path=args.out)
     print(
         f"scanned {summary.points} points (skipped {summary.skipped}); "
         f"max ratio {summary.max_ratio:.6f} at a={summary.worst_point}"

@@ -246,14 +246,14 @@ def compress(t: BlockedTensor, pattern: SparsityPattern) -> CompressedSparseTens
 
 
 def decompress(c: CompressedSparseTensor) -> BlockedTensor:
-    """Expand back to a dense tensor; float32 values are exact in float64."""
+    """Expand back to a dense float32 tensor holding the stored values."""
     m = c.pattern.m
-    blocked = np.zeros((c.num_blocks, m), dtype=np.float64)
+    blocked = np.zeros((c.num_blocks, m), dtype=np.float32)
     if c.num_blocks > 0:
         positions = _unpack_positions(c.indices, m, c.pattern.kept)
-        np.put_along_axis(blocked, positions, c.values.astype(np.float64), axis=1)
+        np.put_along_axis(blocked, positions, c.values, axis=1)
     axis_len = c.shape[c.block_axis]
-    tail = DenseTail(c.tail.astype(np.float64), m, axis_len // m)
+    tail = DenseTail(c.tail, m, axis_len // m)
     blocked.setflags(write=False)
     return merge_axis(blocked, tail, c.shape, c.block_axis)
 

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from nmsparse import analysis
 from nmsparse.analysis import (
     SCAN_CSV_HEADER,
     McReport,
     PropertyCheck,
-    ScanRecord,
+    ScanSummary,
     brute_force_min_mse_mask,
     expected_macs,
     expected_macs_se,
@@ -20,9 +21,7 @@ from nmsparse.analysis import (
     scan_summary,
     variance_gap_arrays,
     variance_gap_d,
-    variance_ratio_scan,
     verify_estimator,
-    write_scan_csv,
 )
 from nmsparse.core import Block, SparsityPattern
 from nmsparse.estimators import EstimatorKind
@@ -133,26 +132,72 @@ class TestVarianceGap:
             variance_gap_d(Block([1.0, 2.0]))
 
 
-class TestVarianceRatioScan:
-    def test_coarse_grid_properties(self):
-        records = list(variance_ratio_scan(step=0.1))
-        assert len(records) == 1_000
-        ratios = np.array([r.ratio for r in records], dtype=float)
-        assert not np.any(np.isnan(ratios))
+def reference_scan_csv(path, step: float, refine_edges: bool = False) -> ScanSummary:
+    """Write the scan one record at a time: a float and a repr per field,
+    an f-string per line, and the summary updated point by point."""
+    count = int(round(1.0 / step))
+    axes = [np.arange(1, count + 1) * step]
+    if refine_edges:
+        axes.append(refine_edge_axis())
+    points = 0
+    skipped = 0
+    max_ratio = -math.inf
+    worst = (0.0, 0.0, 0.0)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(SCAN_CSV_HEADER + "\n")
+        for axis in axes:
+            a2, a3 = np.meshgrid(axis, axis, indexing="ij")
+            plane = np.stack([a2.ravel(), a3.ravel()], axis=1)
+            for a1 in axis:
+                chunk = np.column_stack([np.full(plane.shape[0], a1), plane])
+                var_exact, var_approx, ratios = analysis._ratio_chunk(chunk)
+                for k in range(chunk.shape[0]):
+                    a = (float(chunk[k, 0]), float(chunk[k, 1]), float(chunk[k, 2]))
+                    ratio = None if math.isnan(ratios[k]) else float(ratios[k])
+                    points += 1
+                    if ratio is None:
+                        skipped += 1
+                        ratio_text = ""
+                    else:
+                        ratio_text = repr(ratio)
+                        if ratio > max_ratio:
+                            max_ratio = ratio
+                            worst = a
+                    fh.write(
+                        f"{a[0]!r},{a[1]!r},{a[2]!r},{float(var_exact[k])!r},"
+                        f"{float(var_approx[k])!r},{ratio_text}\n"
+                    )
+    return ScanSummary(points=points, skipped=skipped, max_ratio=max_ratio, worst_point=worst)
+
+
+def read_scan_csv(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestScanSummary:
+    def test_coarse_grid_properties(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        summary = scan_summary(step=0.1, csv_path=path)
+        rows = read_scan_csv(path)
+        assert len(rows) == summary.points == 1_000
+        assert summary.skipped == 0
+        ratios = np.array([float(r["ratio"]) for r in rows])
         assert np.all(ratios >= 1.0 - 1e-9)
         assert np.all(ratios < 2.0)
         # Interior grid points keep all four magnitudes positive.
-        assert min(r.a1 for r in records) == pytest.approx(0.1)
-        assert max(r.a3 for r in records) == pytest.approx(1.0)
+        assert min(float(r["a1"]) for r in rows) == pytest.approx(0.1)
+        assert max(float(r["a3"]) for r in rows) == pytest.approx(1.0)
 
-    def test_summary_matches_streamed_records(self):
-        records = list(variance_ratio_scan(step=0.1))
-        summary = scan_summary(step=0.1)
-        assert summary.points == len(records)
-        assert summary.skipped == 0
-        best = max(records, key=lambda r: r.ratio)
-        assert summary.max_ratio == pytest.approx(best.ratio, rel=1e-15)
-        assert summary.worst_point == (best.a1, best.a2, best.a3)
+    def test_summary_matches_csv_rows(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        summary = scan_summary(step=0.1, csv_path=path)
+        assert scan_summary(step=0.1) == summary
+        rows = read_scan_csv(path)
+        ratios = [float(r["ratio"]) for r in rows]
+        best = rows[int(np.argmax(ratios))]
+        assert summary.max_ratio == max(ratios)
+        assert summary.worst_point == (float(best["a1"]), float(best["a2"]), float(best["a3"]))
 
     def test_refined_edges_approach_two(self):
         axis = refine_edge_axis()
@@ -164,40 +209,44 @@ class TestVarianceRatioScan:
         assert 1.99 < summary.max_ratio < 2.0
         assert max(summary.worst_point) < 1e-4
 
-    def test_step_validation(self):
-        with pytest.raises(ValueError):
-            list(variance_ratio_scan(step=0.0))
-        with pytest.raises(ValueError):
-            list(variance_ratio_scan(step=0.2))
-
-    def test_csv_output(self, tmp_path):
+    def test_step_validation_opens_no_file(self, tmp_path):
         path = tmp_path / "scan.csv"
-        records = [
-            ScanRecord(0.1, 0.2, 0.3, 1.5, 1.8, 1.2),
-            ScanRecord(0.4, 0.5, 0.6, 0.0, 0.0, None),
-        ]
-        summary = write_scan_csv(path, records)
-        assert summary.points == 2 and summary.skipped == 1
-        assert summary.max_ratio == pytest.approx(1.2)
-        assert summary.worst_point == (0.1, 0.2, 0.3)
-        text = path.read_text(encoding="ascii")
-        lines = text.split("\n")
+        for step in (0.0, 0.2):
+            with pytest.raises(ValueError):
+                scan_summary(step=step, csv_path=path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("step,refine_edges", [(0.1, True), (0.05, False)])
+    def test_csv_bytes_match_reference(self, tmp_path, step, refine_edges):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        summary = scan_summary(step, refine_edges, csv_path=got)
+        assert summary == reference_scan_csv(want, step, refine_edges)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_nan_ratio_writes_empty_field(self, tmp_path, monkeypatch):
+        ratio_chunk = analysis._ratio_chunk
+
+        def one_nan_ratio(points):
+            var_exact, var_approx, ratio = ratio_chunk(points)
+            if points[0, 0] == 0.1:
+                ratio = ratio.copy()
+                ratio[1] = np.nan
+            return var_exact, var_approx, ratio
+
+        monkeypatch.setattr(analysis, "_ratio_chunk", one_nan_ratio)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        summary = scan_summary(step=0.1, csv_path=got)
+        assert summary.points == 1_000 and summary.skipped == 1
+        assert summary == reference_scan_csv(want, 0.1)
+        assert got.read_bytes() == want.read_bytes()
+        lines = got.read_text(encoding="ascii").split("\n")
         assert lines[0] == SCAN_CSV_HEADER
-        assert lines[2].endswith(",")  # empty ratio field for skipped point
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert float(rows[0]["ratio"]) == 1.2
+        assert lines[2].endswith(",")  # empty ratio field for the skipped point
+        assert lines[1].count(",") == lines[2].count(",") == 5
+        rows = read_scan_csv(got)
         assert rows[1]["ratio"] == ""
-        assert float(rows[1]["a1"]) == 0.4
-
-    def test_csv_roundtrip_of_scan(self, tmp_path):
-        path = tmp_path / "scan.csv"
-        summary = write_scan_csv(path, variance_ratio_scan(step=0.1))
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == summary.points == 1_000
-        ratios = np.array([float(r["ratio"]) for r in rows])
-        assert ratios.max() == pytest.approx(summary.max_ratio, rel=1e-15)
+        assert float(rows[1]["a3"]) == 0.2
+        assert all(r["ratio"] for k, r in enumerate(rows) if k != 1)
 
 
 class TestExpectedMacs:
@@ -279,6 +328,49 @@ class TestVerifyEstimator:
         # zero; the closed-form SE keeps their z finite and meaningful.
         checks = verify_estimator(kind, num_blocks=100, samples=10_000, seed=0)
         assert all(c.passed for c in checks), [c.detail for c in checks if not c.passed]
+
+    RARE_PAIR_BLOCK = np.array([[1.0, 1.0, 0.005, 0.005]])  # P({2, 3}) = 1.24e-5 under approx24
+
+    def verify_rare_pair_block(self, monkeypatch):
+        monkeypatch.setattr(analysis, "random_test_blocks", lambda *a, **k: self.RARE_PAIR_BLOCK)
+        return verify_estimator(
+            EstimatorKind.MVUE24_APPROX, num_blocks=1, samples=10_000, seed=87
+        )
+
+    def test_rare_kept_set_drawn_twice_passes(self, monkeypatch):
+        # Seed 87 draws the rare pair twice in 10,000 draws; the normal
+        # approximation reads that as z = 5.33, the exact tail as z = 2.45.
+        block = Block(self.RARE_PAIR_BLOCK[0])
+        report = mc_estimate(block, EstimatorKind.MVUE24_APPROX, 10_000, seed=87)
+        assert round(report.pair_frequencies[(2, 3)] * 10_000) == 2
+        checks = self.verify_rare_pair_block(monkeypatch)
+        assert all(c.passed for c in checks), [c.detail for c in checks if not c.passed]
+
+    def test_rare_kept_set_drawn_too_often_fails(self, monkeypatch):
+        # The same two draws against a model that makes the pair 1,000
+        # times rarer: the exact tail is about 8e-11, beyond 5 sigma.
+        kept_set_probs = analysis._kept_set_probs
+
+        def rarer_pair(kind, values):
+            sets, probs = kept_set_probs(kind, values)
+            probs = probs.copy()
+            probs[:, sets.index((2, 3))] *= 1e-3
+            return sets, probs
+
+        monkeypatch.setattr(analysis, "_kept_set_probs", rarer_pair)
+        checks = self.verify_rare_pair_block(monkeypatch)
+        assert [c.name for c in checks if not c.passed] == ["frequency"]
+
+    def test_frequency_z(self):
+        z = analysis._frequency_z
+        assert z(2, 10_000, 1.4e-5, 5.0) == pytest.approx(2.37, abs=0.01)
+        assert z(20, 10_000, 1e-5, 5.0) > 5.0
+        assert z(0, 10_000, 1e-5, 5.0) == 0.0
+        assert z(1, 10_000, 0.0, 5.0) == math.inf
+        # A set kept in nearly every draw is judged by the draws without it.
+        assert z(9_998, 10_000, 1.0 - 1e-5, 5.0) == pytest.approx(z(2, 10_000, 1e-5, 5.0))
+        # Where both outcomes are common the normal z is unchanged.
+        assert z(520, 10_000, 0.05, 5.0) == pytest.approx(0.002 / math.sqrt(0.05 * 0.95 / 10_000))
 
     def test_default_suite_fails_biased(self):
         checks = verify_estimator(EstimatorKind.BIASED12, num_blocks=100, samples=10_000, seed=0)

@@ -213,9 +213,11 @@ class TestScan:
         assert max(ratios) < 2.0
 
     def test_bad_step_is_usage_error(self, tmp_path, capsys):
-        rc = main(["scan", "--step", "0.5", "--out", str(tmp_path / "s.csv")])
+        out = tmp_path / "s.csv"
+        rc = main(["scan", "--step", "0.5", "--out", str(out)])
         assert rc == EXIT_USAGE
         assert "step" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_path_is_io_error(self, tmp_path, capsys):
         rc = main(["scan", "--step", "0.1", "--out", str(tmp_path / "no" / "s.csv")])

@@ -423,3 +423,13 @@ class TestCompressedFiles:
         write_compressed(path, compress(snapped, P24))
         out = decompress(read_compressed(path))
         assert pattern_violations(out, P24) == 0
+
+    @pytest.mark.parametrize("shape,axis", [((8, 16), -1), ((10, 6), 0), ((3, 2), -1)])
+    def test_decompress_keeps_float32(self, tmp_path, shape, axis):
+        t = BlockedTensor(shape, f32_tensor(shape, seed=14).data, axis)
+        pruned = prune_tensor(t, EstimatorKind.GREEDY_MSE, P24, RandomStream(15))
+        path = tmp_path / "t.nmsc"
+        write_compressed(path, compress(pruned, P24))
+        out = decompress(read_compressed(path))
+        assert out.data.dtype == np.float32
+        assert out == pruned
