@@ -20,6 +20,7 @@ from .core import Block, BlockMask, SparsityPattern
 from .estimators import (
     PAIR_INDEX_COLUMNS,
     EstimatorKind,
+    _map_ordered,
     approx24_pair_probs,
     approx24_variance_array,
     elementwise_variance_array,
@@ -85,11 +86,11 @@ def mc_estimate(
     var = out.var(axis=0, ddof=1) if samples > 1 else np.zeros(pattern.m)
     mean_se = np.sqrt(var / samples)
     diff = out - block.values
-    mse_draws = (diff * diff).sum(axis=1)
+    mse_draws = np.einsum("ij,ij->i", diff, diff)
     mse_mean = float(mse_draws.mean())
     mse_se = float(mse_draws.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
 
-    codes = (mask.astype(np.int64) << np.arange(pattern.m)).sum(axis=1)
+    codes = np.packbits(mask, axis=1, bitorder="little")[:, 0]
     counts = np.bincount(codes, minlength=1 << pattern.m)
     freqs: dict[tuple[int, ...], float] = {}
     for code in np.flatnonzero(counts):
@@ -491,10 +492,12 @@ def verify_estimator(
         mean_se_closed = np.sqrt(elementwise_variance_array(blocks, kind) / samples)
         mse_se_closed = _squared_error_sd(kind, blocks, kept_sets, set_probs) / math.sqrt(samples)
 
-    for idx in range(num_blocks):
-        block = Block(blocks[idx])
-        report = mc_estimate(block, kind, samples, seed + idx, pattern)
-
+    # Each block draws from its own stream, so the blocks run on every CPU.
+    reports = _map_ordered(
+        lambda idx: mc_estimate(Block(blocks[idx]), kind, samples, seed + idx, pattern),
+        range(num_blocks),
+    )
+    for idx, report in enumerate(reports):
         # Pattern compliance: every draw keeps exactly pattern.kept entries
         # (mc_estimate would have failed otherwise) and frequencies sum to 1.
         if abs(sum(report.pair_frequencies.values()) - 1.0) > 1e-9:

@@ -296,10 +296,11 @@ def merge_blocks(
 def _coded_split(t: BlockedTensor, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_split_blocks of t plus each block's nonzero bit code (bit i: entry i
     nonzero), kept with the read-only tensor for the pattern check and
-    compress to share."""
+    compress to share. A producer that holds the tensor's values in block
+    layout may store (blocks, tail) there first; the codes read them."""
     split = t._split.get(m)
-    if split is None:
-        blocks, tail = _split_blocks(t, m)
+    if split is None or len(split) == 2:
+        blocks, tail = split or _split_blocks(t, m)
         nonzero = (blocks != 0.0).view(np.uint8)
         codes = np.zeros(blocks.shape[0], dtype=np.uint8)
         for i in range(m):

@@ -24,7 +24,12 @@ convention 0^2 / 0 = 0 in variance formulas.
 
 from __future__ import annotations
 
+import contextvars
 import enum
+import itertools
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 
@@ -114,9 +119,26 @@ def _float_blocks(values, m: int | None = None) -> np.ndarray:
     return arr
 
 
-def _magnitude_rows(values: np.ndarray) -> np.ndarray:
+_TINY = np.finfo(np.float64).tiny
+
+
+def _scale_safe(values: np.ndarray) -> np.ndarray:
+    """values, but blocks whose total overflows or is below the smallest
+    normal scaled exactly, by a power of two, to a max in [0.5, 1): the
+    probabilities do not depend on scale, and the formulas would lose them."""
+    with np.errstate(over="ignore"):
+        total = np.abs(values).sum(axis=1)
+    extreme = ~(np.isfinite(total) & (total >= _TINY))
+    if np.any(extreme):
+        values = values.copy()
+        _, exponent = np.frexp(np.abs(values[extreme]).max(axis=1))
+        values[extreme] = np.ldexp(values[extreme], -exponent[:, None])
+    return values
+
+
+def _magnitude_rows(values: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Magnitudes of (n, m) blocks as contiguous (m, n) rows."""
-    return np.ascontiguousarray(np.abs(values).T)
+    return np.abs(values.T, out=np.empty(values.shape[::-1], dtype=dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +151,7 @@ def greedy_mask_array(values: np.ndarray, pattern: SparsityPattern) -> np.ndarra
     Ties are broken toward the lower index, so the result is deterministic.
     """
     values = _float_blocks(values, pattern.m)
-    mags_t = _magnitude_rows(values)
+    mags_t = _magnitude_rows(values, values.dtype)
     # The rank of row c counts the rows ahead of it. A later row is ahead
     # of row i only when strictly larger, so ties go to the lower index, as
     # in a stable argsort of the negated magnitudes. Row i is compared with
@@ -206,7 +228,7 @@ def prune_uniform12_array(
 
 def mvue12_selection_probs(values: np.ndarray) -> np.ndarray:
     """P(keep index i) for mvue12/biased12; all-zero blocks keep index 0."""
-    values = _block_matrix(values, 2)
+    values = _scale_safe(_block_matrix(values, 2))
     mags = np.abs(values)
     total = mags.sum(axis=1, keepdims=True)
     probs = np.empty_like(mags)
@@ -402,22 +424,26 @@ def prune_mvue24_exact_array(
     three_zero = regime3 & (small == 0.0)
     if np.any(three_zero):
         col[three_zero] = _THREE_ZERO_COLUMNS[(3.0 * u[three_zero]).astype(np.intp)]
+    # Free the draw's rows first: prune_array runs a chunk per CPU at once.
+    del b1, b2, b3, small, total, x, middle
 
-    out = np.empty_like(values)
     mask = np.empty(values.shape, dtype=bool)
     keep = mask.T
     # An entry is kept when the chosen pair holds its rank.
     np.bitwise_and(_PAIR_BITS[col] >> ranks, 1, out=keep.view(np.uint8))
     # Every survivor has magnitude `scale` except a regime-3 max, which
     # keeps b4 = max(b4, scale); in regimes 1-2 max(b4, S/2) is S/2.
-    kept = np.maximum(scale, b4 * (ranks == 3))
-    out.T[...] = np.where(keep, np.sign(values.T) * kept, 0.0)
+    kept = b4 * (ranks == 3)
+    np.maximum(scale, kept, out=kept)
+    np.multiply(np.sign(values.T), kept, out=kept)
+    out = np.empty_like(values)
+    out.T[...] = np.where(keep, kept, 0.0)
     return out, mask
 
 
 def exact24_marginal_probs(values: np.ndarray) -> np.ndarray:
     """Inclusion probability of each entry, in original order."""
-    values = _block_matrix(values, 4)
+    values = _scale_safe(_block_matrix(values, 4))
     order, b = _sort_by_magnitude(values)
     sorted_probs = _exact24_marginals_sorted(b)
     probs = np.empty_like(sorted_probs)
@@ -427,7 +453,7 @@ def exact24_marginal_probs(values: np.ndarray) -> np.ndarray:
 
 def exact24_pair_probs(values: np.ndarray) -> np.ndarray:
     """Probability of keeping each index pair, columns PAIR_INDEX_COLUMNS."""
-    values = _block_matrix(values, 4)
+    values = _scale_safe(_block_matrix(values, 4))
     order, b = _sort_by_magnitude(values)
     table = _exact24_pair_table_sorted(b)
     rows = np.arange(values.shape[0])[:, None]
@@ -482,8 +508,9 @@ def _draw_by_running_sums(
 
 
 def _approx24_exclusion_rows(mags_t: np.ndarray) -> np.ndarray:
-    """Exclusion probabilities of (4, n) magnitude rows; an all-zero column,
-    which only the sampler passes, gets 2/3 per entry."""
+    """Exclusion probabilities of (4, n) magnitude rows, written over them
+    to save memory; an all-zero column, which only the sampler passes,
+    gets 2/3 per entry."""
     m0, m1, m2, m3 = mags_t
     # Added left to right, the order of a row sum.
     total = m0 + m1 + m2 + m3
@@ -498,23 +525,23 @@ def _approx24_exclusion_rows(mags_t: np.ndarray) -> np.ndarray:
     rest1 = m0 + ps23
     rest2 = m3 + ps01
     rest3 = m2 + ps01
-    probs = np.empty_like(mags_t)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w0 = m0 / rest0
-        w1 = m1 / rest1
-        w2 = m2 / rest2
-        w3 = m3 / rest3
-        # Divide by the total: its reciprocal overflows for subnormal totals.
-        probs[0] = (w1 * ps23 + w2 * ps13 + w3 * ps12) / total
-        probs[1] = (w0 * ps23 + w2 * ps03 + w3 * ps02) / total
-        probs[2] = (w0 * ps13 + w1 * ps03 + w3 * ps01) / total
-        probs[3] = (w0 * ps12 + w1 * ps02 + w2 * ps01) / total
-    np.minimum(probs, 1.0, out=probs)
     degenerate = (rest0 == 0.0) | (rest1 == 0.0) | (rest2 == 0.0) | (rest3 == 0.0)
-    if np.any(degenerate):
-        # One entry holds the whole mass: it is always drawn first and the
-        # partner is uniform over the three zero entries.
-        probs[:, degenerate] = np.where(mags_t[:, degenerate] > 0.0, 0.0, 2.0 / 3.0)
+    # One entry holds the whole mass: it is always drawn first and the
+    # partner is uniform over the three zero entries.
+    fill = np.where(mags_t[:, degenerate] > 0.0, 0.0, 2.0 / 3.0) if np.any(degenerate) else None
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w0 = np.divide(m0, rest0, out=rest0)
+        w1 = np.divide(m1, rest1, out=rest1)
+        w2 = np.divide(m2, rest2, out=rest2)
+        w3 = np.divide(m3, rest3, out=rest3)
+        # Divide by the total: its reciprocal overflows for subnormal totals.
+        np.divide(w1 * ps23 + w2 * ps13 + w3 * ps12, total, out=m0)
+        np.divide(w0 * ps23 + w2 * ps03 + w3 * ps02, total, out=m1)
+        np.divide(w0 * ps13 + w1 * ps03 + w3 * ps01, total, out=m2)
+        np.divide(w0 * ps12 + w1 * ps02 + w2 * ps01, total, out=m3)
+    probs = np.minimum(mags_t, 1.0, out=mags_t)
+    if fill is not None:
+        probs[:, degenerate] = fill
     return probs
 
 
@@ -529,7 +556,7 @@ def approx24_exclusion_probs(values: np.ndarray) -> np.ndarray:
     around 1e-12) keeps full relative precision where 1 - inclusion would
     be pure rounding noise.
     """
-    mags_t = _magnitude_rows(_block_matrix(values, 4))
+    mags_t = _magnitude_rows(_scale_safe(_block_matrix(values, 4)))
     if np.any(mags_t.sum(axis=0) == 0.0):
         raise ValueError("inclusion probabilities are undefined for an all-zero block")
     return np.ascontiguousarray(_approx24_exclusion_rows(mags_t).T)
@@ -565,7 +592,7 @@ def approx24_variance_array(values: np.ndarray) -> np.ndarray:
 
 def approx24_pair_probs(values: np.ndarray) -> np.ndarray:
     """Pair probabilities for the sequential sampler, columns PAIR_INDEX_COLUMNS."""
-    values = _block_matrix(values, 4)
+    values = _scale_safe(_block_matrix(values, 4))
     mags = np.abs(values)
     total = mags.sum(axis=1)
     if np.any(total == 0.0):
@@ -583,8 +610,9 @@ def approx24_pair_probs(values: np.ndarray) -> np.ndarray:
 def prune_mvue24_approx_array(
     values: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sequential magnitude-proportional 2:4 pruning (two uniforms per block)."""
-    values = _block_matrix(values, 4)
+    """Sequential magnitude-proportional 2:4 pruning (two uniforms per block).
+    Float32 blocks are widened by the ufuncs, not copied."""
+    values = _float_blocks(values, 4)
     if u.ndim != 2 or u.shape != (values.shape[0], 2):
         raise ValueError("expected uniforms of shape (num_blocks, 2)")
     mags_t = _magnitude_rows(values)
@@ -592,14 +620,16 @@ def prune_mvue24_approx_array(
     # first pick holds the whole mass, the partner is uniform over the rest.
     first = _draw_by_running_sums(mags_t, 1.0, u[:, 0])
     second = _draw_by_running_sums(mags_t * ~first, ~first, u[:, 1])
-    probs = 1.0 - _approx24_exclusion_rows(mags_t)
+    survivors = _approx24_exclusion_rows(mags_t)
+    np.subtract(1.0, survivors, out=survivors)
 
-    out = np.empty_like(values)
+    out = np.empty_like(values, dtype=np.float64)
     mask = np.empty(values.shape, dtype=bool)
     keep = mask.T
     np.bitwise_or(first, second, out=keep)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out.T[...] = np.where(keep & (values.T != 0.0), values.T / probs, 0.0)
+        np.divide(values.T, survivors, out=survivors)
+    out.T[...] = np.where(keep & (values.T != 0.0), survivors, 0.0)
     return out, mask
 
 
@@ -674,6 +704,68 @@ _SAMPLERS = {
 # 16k 2:4 blocks is 512 KiB, and verify's 10k-draw calls take one chunk.
 PRUNE_CHUNK_BLOCKS = 1 << 14
 
+# The worker pool of _map_ordered, made on first use: one thread per CPU
+# of the process's affinity set but the calling thread's own. A forked
+# child, which has none of the threads, makes its own.
+_pool: ThreadPoolExecutor | None = None
+_pool_cpus = 0  # 0 until the pool is made
+_pool_lock = threading.Lock()
+_in_worker = threading.local()
+
+
+def _drop_pool() -> None:
+    global _pool, _pool_cpus, _pool_lock
+    _pool, _pool_cpus, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _worker_pool() -> ThreadPoolExecutor | None:
+    """The pool, or None on one CPU and inside one of its own workers."""
+    global _pool, _pool_cpus
+    with _pool_lock:
+        if not _pool_cpus:
+            affinity = getattr(os, "sched_getaffinity", None)
+            _pool_cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+            if _pool_cpus > 1:
+                _pool = ThreadPoolExecutor(_pool_cpus - 1, "nmsparse", initializer=setattr,
+                                           initargs=(_in_worker, "active", True))
+    return None if getattr(_in_worker, "active", False) else _pool
+
+
+def _map_ordered(fn, items) -> list:
+    """[fn(item) for item in items], spread over the calling thread and
+    the worker pool, with the results in input order.
+
+    The calling thread takes the items in order, at most one per CPU ahead
+    of the oldest unfinished one, and runs every CPU-th item itself. The
+    others run in a copy of its context, so np.errstate holds there too.
+    One item, one CPU or a call from a worker runs inline, so no worker
+    ever waits on a task. An exception cancels the tasks not yet started.
+    """
+    items = iter(items)
+    head = list(itertools.islice(items, 2))
+    pool = _worker_pool() if len(head) == 2 else None
+    if pool is None:
+        return [fn(item) for item in itertools.chain(head, items)]
+    cpus, futures = _pool_cpus, []
+    try:
+        for i, item in enumerate(itertools.chain(head, items)):
+            if i % cpus == cpus - 1:  # the calling thread's share
+                futures.append(Future())
+                futures[-1].set_result(fn(item))
+            else:
+                futures.append(pool.submit(contextvars.copy_context().run, fn, item))
+            if i >= cpus:
+                futures[i - cpus].result()
+        return [future.result() for future in futures]
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        raise
+
 
 def prune_array(
     values: np.ndarray,
@@ -685,31 +777,41 @@ def prune_array(
 
     Returns (pruned values, keep mask), the values in the input's dtype,
     float32 or float64. The kernel runs on chunks of PRUNE_CHUNK_BLOCKS
-    blocks, drawing their uniforms in order, which gives exactly the
-    uniforms of one draw. Stochastic kernels widen each chunk to float64.
+    blocks, spread over the CPUs by _map_ordered. The calling thread draws
+    each chunk's uniforms in chunk order, which gives exactly the uniforms
+    of one draw, whatever the number of CPUs. Stochastic kernels widen each
+    chunk to float64.
     """
     pattern = resolve_pattern(kind, pattern)
     values = _float_blocks(values, pattern.m)
     if kind.is_stochastic and stream is None:
         raise ValueError(f"method {kind.value!r} is stochastic and needs a RandomStream")
-    out = mask = None
-    for start in range(0, max(len(values), 1), PRUNE_CHUNK_BLOCKS):
-        chunk = values[start : start + PRUNE_CHUNK_BLOCKS]
-        if kind is EstimatorKind.GREEDY_MSE:
-            part, part_mask = prune_greedy_array(chunk, pattern)
-        else:
-            draws, sampler = _SAMPLERS[kind]
-            part, part_mask = sampler(chunk, stream.uniforms((len(chunk), draws)))
+    if kind is EstimatorKind.GREEDY_MSE:
+        draws, kernel = 0, lambda v, u: prune_greedy_array(v, pattern)
+    else:
+        draws, kernel = _SAMPLERS[kind]
+
+    def uniforms(rows: slice) -> np.ndarray | None:
+        return stream.uniforms((len(values[rows]), draws)) if draws else None
+
+    if len(values) <= PRUNE_CHUNK_BLOCKS:
+        part, mask = kernel(values, uniforms(slice(None)))
         # Survivors may overflow float32; the file writers refuse non-finite data.
         with np.errstate(over="ignore"):
-            if len(chunk) == len(values):
-                return part.astype(values.dtype, copy=False), part_mask
-            if out is None:
-                # The kernels lay their output out like their input.
-                out = np.empty_like(part, dtype=values.dtype, shape=values.shape)
-                mask = np.empty(values.shape, dtype=bool)
-            out[start : start + len(chunk)] = part
-        mask[start : start + len(chunk)] = part_mask
+            return part.astype(values.dtype, copy=False), mask
+    # The samplers lay their output out like their input, greedy row-major.
+    out = np.empty_like(values, order="C" if kind is EstimatorKind.GREEDY_MSE else "K")
+    mask = np.empty(values.shape, dtype=bool)
+
+    def prune_chunk(chunk: tuple[slice, np.ndarray | None]) -> None:
+        rows, u = chunk
+        part, mask[rows] = kernel(values[rows], u)
+        with np.errstate(over="ignore"):
+            out[rows] = part
+
+    starts = range(0, len(values), PRUNE_CHUNK_BLOCKS)
+    chunks = (slice(start, start + PRUNE_CHUNK_BLOCKS) for start in starts)
+    _map_ordered(prune_chunk, ((rows, uniforms(rows)) for rows in chunks))
     return out, mask
 
 
@@ -729,7 +831,11 @@ def prune_tensor(
         blocks, _ = prune_array(blocks, kind, pattern, stream)
         blocks.setflags(write=False)
     tail = DenseTail(tail, pattern.m, t.shape[t.block_axis] // pattern.m)
-    return merge_axis(blocks, tail, t.shape, t.block_axis)
+    out = merge_axis(blocks, tail, t.shape, t.block_axis)
+    # The output's values in block layout, for the pattern check and
+    # compress, which would otherwise split the output again.
+    out._split[pattern.m] = (blocks, tail.values)
+    return out
 
 
 # ---------------------------------------------------------------------------

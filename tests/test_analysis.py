@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nmsparse import analysis
+from nmsparse import analysis, estimators
 from nmsparse.analysis import (
     SCAN_CSV_HEADER,
     McReport,
@@ -24,7 +24,8 @@ from nmsparse.analysis import (
     verify_estimator,
 )
 from nmsparse.core import Block, SparsityPattern
-from nmsparse.estimators import EstimatorKind
+from nmsparse.estimators import PRUNE_CHUNK_BLOCKS, EstimatorKind, prune_array
+from nmsparse.rng import RandomStream
 
 P12 = SparsityPattern(1, 2)
 P24 = SparsityPattern(2, 4)
@@ -81,6 +82,48 @@ class TestMcEstimate:
         assert report.kind is EstimatorKind.MVUE24_APPROX
         assert report.samples == 50 and report.seed == 3
         assert all(len(k) == 2 for k in report.pair_frequencies)
+
+
+def assert_same_report(got: McReport, want: McReport):
+    assert (got.block, got.kind, got.samples, got.seed) == (want.block, want.kind, want.samples, want.seed)
+    for name in ("empirical_mean", "empirical_var", "mean_se"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert (got.mse_mean, got.mse_se) == (want.mse_mean, want.mse_se)
+    assert got.pair_frequencies == want.pair_frequencies
+
+
+class TestMcStatistics:
+    """The per-draw squared errors and kept-set codes equal the plain
+    formulas they replace, bit for bit."""
+
+    CASES = [
+        ([3.0, -1.0], EstimatorKind.MVUE12, None),
+        ([1.0, -2.0, 3.0, 4.0], EstimatorKind.MVUE24_EXACT, None),
+        ([1.0, -2.0, 3.0, 4.0], EstimatorKind.MVUE24_APPROX, None),
+        ([1.0, 1.0, 2.0, 2.0], EstimatorKind.GREEDY_MSE, None),
+        ([5.0, 1.0, 2.0, 3.0], EstimatorKind.GREEDY_MSE, SparsityPattern(3, 4)),
+        ([0.5, -4.0, 1.0, 0.0, 2.0, -3.0, 0.25, 7.0], EstimatorKind.GREEDY_MSE, P48),
+    ]
+
+    @pytest.mark.parametrize("values, kind, pattern", CASES)
+    def test_match_the_reference_formulas(self, values, kind, pattern):
+        block = Block(values)
+        report = mc_estimate(block, kind, 5_000, seed=7, pattern=pattern)
+        m = len(values)
+        pattern = pattern or (SparsityPattern(m // 2, m) if kind is EstimatorKind.GREEDY_MSE else None)
+        tiled = np.broadcast_to(block.values, (5_000, m))
+        out, mask = prune_array(tiled, kind, pattern, RandomStream(7))
+        diff = out - block.values
+        mse_draws = (diff * diff).sum(axis=1)
+        assert report.mse_mean == float(mse_draws.mean())
+        assert report.mse_se == float(mse_draws.std(ddof=1) / math.sqrt(5_000))
+        codes = (mask.astype(np.int64) << np.arange(m)).sum(axis=1)
+        counts = np.bincount(codes, minlength=1 << m)
+        want = {
+            tuple(i for i in range(m) if code & (1 << i)): counts[code] / 5_000
+            for code in np.flatnonzero(counts)
+        }
+        assert report.pair_frequencies == want
 
 
 class TestBruteForce:
@@ -388,6 +431,55 @@ class TestVerifyEstimator:
             EstimatorKind.GREEDY_MSE, num_blocks=10, samples=2, seed=3, pattern=P48
         )
         assert all(c.passed for c in checks)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [EstimatorKind.MVUE24_APPROX, EstimatorKind.MVUE24_EXACT, EstimatorKind.MVUE12,
+         EstimatorKind.GREEDY_MSE],
+    )
+    def test_consumes_the_serial_reports_in_order(self, kind, monkeypatch, four_workers):
+        # The blocks run on a worker pool; the checks must see the reports
+        # of a serial mc_estimate loop, in block order.
+        consumed = {}
+        real_mc_estimate = analysis.mc_estimate
+
+        def recording(*args):
+            report = real_mc_estimate(*args)
+            consumed[report.seed] = report
+            return report
+
+        monkeypatch.setattr(analysis, "mc_estimate", recording)
+        checks = verify_estimator(kind, num_blocks=12, samples=2_000, seed=3)
+        pattern = P24 if kind is EstimatorKind.GREEDY_MSE else None
+        m = 2 if kind is EstimatorKind.MVUE12 else 4
+        blocks = random_test_blocks(12, m, 3)
+        serial = {3 + i: real_mc_estimate(Block(blocks[i]), kind, 2_000, 3 + i, pattern)
+                  for i in range(12)}
+        assert sorted(consumed) == sorted(serial)
+        for seed, report in serial.items():
+            assert_same_report(consumed[seed], report)
+        # The same checks from the serial reports, each handed out once, in
+        # a run on the calling thread alone.
+        with monkeypatch.context() as m:
+            m.setattr(estimators, "_pool", None)
+            m.setattr(estimators, "_pool_cpus", 1)
+            m.setattr(analysis, "mc_estimate", lambda block, kind, samples, seed, pattern: serial.pop(seed))
+            assert verify_estimator(kind, num_blocks=12, samples=2_000, seed=3) == checks
+        assert serial == {}
+
+    def test_worker_count_does_not_change_the_checks(self, request):
+        args = (EstimatorKind.MVUE24_APPROX, 10, 2_000, 5)
+        default = verify_estimator(*args)
+        request.getfixturevalue("one_worker")
+        assert verify_estimator(*args) == default
+
+    def test_nested_multi_chunk_calls_finish(self, request, four_workers, within_seconds):
+        # samples > PRUNE_CHUNK_BLOCKS: each block's prune_array call maps
+        # its own chunks, from a pool worker or from the calling thread.
+        args = (EstimatorKind.MVUE24_EXACT, 6, PRUNE_CHUNK_BLOCKS + 5, 8)
+        pooled = within_seconds(lambda: verify_estimator(*args), 120)
+        estimators._pool, estimators._pool_cpus = None, 1  # restored by the fixture
+        assert verify_estimator(*args) == pooled
 
     def test_detail_strings_are_informative(self):
         checks = verify_estimator(EstimatorKind.MVUE12, num_blocks=5, samples=1_000, seed=4)

@@ -7,18 +7,25 @@ partner). Monte-Carlo checks run at the 5-sigma level with fixed seeds.
 """
 
 import itertools
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from nmsparse import estimators
 from nmsparse.analysis import random_test_blocks
 from nmsparse.core import (
     SUPPORTED_BLOCK_LENGTHS,
     Block,
     BlockedTensor,
     SparsityPattern,
+    _coded_split,
     pattern_violations,
     split_axis,
 )
@@ -29,6 +36,7 @@ from nmsparse.estimators import (
     _exact24_pair_table_sorted,
     analytic_variance_from_probs,
     analytic_variance_mvue12,
+    approx24_exclusion_probs,
     approx24_inclusion_probs,
     approx24_pair_probs,
     approx24_variance_array,
@@ -39,6 +47,7 @@ from nmsparse.estimators import (
     greedy_mask_array,
     inclusion_probs_approx24,
     marginal_probs_exact24,
+    mvue12_selection_probs,
     mvue12_variance_array,
     prune_array,
     prune_baseline,
@@ -57,7 +66,7 @@ from nmsparse.estimators import (
     variance_from_probs_array,
 )
 from nmsparse.rng import RandomStream
-from nmsparse.tensorio import read_tensor, write_tensor
+from nmsparse.tensorio import compress, read_tensor, write_tensor
 
 P12 = SparsityPattern(1, 2)
 P24 = SparsityPattern(2, 4)
@@ -931,6 +940,22 @@ class TestPruneTensor:
         b = prune_tensor(t, EstimatorKind.MVUE24_EXACT, P24, RandomStream(84))
         assert a == b
 
+    @pytest.mark.parametrize("block_axis", [0, -1])
+    def test_split_cache_holds_the_output_values(self, block_axis):
+        # prune_tensor leaves its blocks and tail for the pattern check and
+        # compress; they must be what a fresh split of the output reads.
+        arr = RandomStream(87).normals((4 * 9 + 2, 4 * 5 + 3)).astype(np.float32)
+        t = BlockedTensor.from_array(arr, block_axis=block_axis)
+        pruned = prune_tensor(t, EstimatorKind.MVUE24_EXACT, P24, RandomStream(88))
+        fresh = BlockedTensor(pruned.shape, pruned.data.copy(), pruned.block_axis)
+        assert 4 in pruned._split and not fresh._split
+        for got, want in zip(_coded_split(pruned, 4), _coded_split(fresh, 4)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        got, want = compress(pruned, P24), compress(fresh, P24)
+        for name in ("values", "indices", "tail"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
     def test_unbiased_over_tensor_mc(self):
         # Tensor-level sanity: averaging many pruned copies approaches the input.
         arr = RandomStream(85).normals((2, 8))
@@ -1003,23 +1028,184 @@ class TestPruneArrayChunks:
         np.testing.assert_array_equal(out, ref_out)
 
 
+WORKER_FIXTURES = ("one_worker", "four_workers")
+
+
+class TestPruneArrayWorkers:
+    """prune_array spreads its chunks over a worker pool; no output may
+    depend on how many workers there are."""
+
+    @pytest.mark.parametrize("workers", WORKER_FIXTURES)
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("blocks", CHUNK_EDGES)
+    def test_bit_identical_at_any_worker_count(self, request, workers, kind, blocks):
+        request.getfixturevalue(workers)
+        pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
+        values = random_test_blocks(blocks, pattern.m, seed=blocks)
+        values[::7] = 0.0
+        out, mask = prune_array(values, kind, pattern, RandomStream(97))
+        ref_out, ref_mask = whole_array_kernel(values, kind, 97)
+        np.testing.assert_array_equal(out.view(np.uint64), ref_out.view(np.uint64))
+        np.testing.assert_array_equal(mask, ref_mask)
+
+    @pytest.mark.parametrize("workers", (None,) + WORKER_FIXTURES)
+    def test_stream_continues_as_after_one_draw(self, request, workers):
+        if workers:
+            request.getfixturevalue(workers)
+        values = random_test_blocks(2 * PRUNE_CHUNK_BLOCKS + 3, 4, seed=98)
+        stream = RandomStream(99)
+        prune_array(values, EstimatorKind.MVUE24_APPROX, None, stream)
+        reference = RandomStream(99)
+        reference.uniforms((len(values), 2))
+        np.testing.assert_array_equal(stream.uniforms(8), reference.uniforms(8))
+
+    def test_error_in_a_worker_reaches_the_caller(self, four_workers, monkeypatch):
+        raised_in = []
+
+        def failing(v, u):
+            if len(v) < PRUNE_CHUNK_BLOCKS:  # the last chunk, a pool task
+                raised_in.append(threading.current_thread().name)
+                raise ValueError("bad chunk")
+            return prune_mvue12_array(v, u[:, 0])
+
+        monkeypatch.setitem(estimators._SAMPLERS, EstimatorKind.MVUE12, (1, failing))
+        values = random_test_blocks(2 * PRUNE_CHUNK_BLOCKS + 3, 2, seed=100)
+        with pytest.raises(ValueError, match="bad chunk"):
+            prune_array(values, EstimatorKind.MVUE12, None, RandomStream(0))
+        assert raised_in and raised_in[0].startswith("nmsparse-test")
+
+    def test_caller_errstate_holds_in_workers(self, four_workers, monkeypatch):
+        seen = []
+
+        def recording(v, u):
+            seen.append((threading.current_thread().name, np.geterr()["over"]))
+            return prune_mvue12_array(v, u[:, 0])
+
+        monkeypatch.setitem(estimators._SAMPLERS, EstimatorKind.MVUE12, (1, recording))
+        values = random_test_blocks(4 * PRUNE_CHUNK_BLOCKS, 2, seed=101)
+        with np.errstate(over="raise"):
+            prune_array(values, EstimatorKind.MVUE12, None, RandomStream(0))
+        assert len(seen) == 4 and {over for _, over in seen} == {"raise"}
+        assert any(name.startswith("nmsparse-test") for name, _ in seen)
+
+    def test_many_workers_with_a_short_switch_interval(self, four_workers, within_seconds):
+        # More threads than this host's cores, switching as often as the
+        # interpreter allows: a lost or misplaced chunk would show.
+        values = random_test_blocks(5 * PRUNE_CHUNK_BLOCKS + 1, 4, seed=102)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for kind in (EstimatorKind.MVUE24_APPROX, EstimatorKind.GREEDY_MSE):
+                pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
+                out, mask = within_seconds(
+                    lambda: prune_array(values, kind, pattern, RandomStream(103)), 120
+                )
+                ref_out, ref_mask = whole_array_kernel(values, kind, 103)
+                np.testing.assert_array_equal(out, ref_out)
+                np.testing.assert_array_equal(mask, ref_mask)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_can_prune(self, four_workers):
+        values = random_test_blocks(2 * PRUNE_CHUNK_BLOCKS + 3, 4, seed=104)
+        want, _ = prune_array(values, EstimatorKind.MVUE24_EXACT, None, RandomStream(105))
+        pid = os.fork()
+        if pid == 0:  # the child: the parent's pool threads do not exist here
+            code = 1
+            try:
+                got, _ = prune_array(values, EstimatorKind.MVUE24_EXACT, None, RandomStream(105))
+                code = 0 if np.array_equal(got, want) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung in prune_array")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
+def prune_tensor_peak(kind: EstimatorKind, tmp_path) -> tuple[int, int]:
+    """Traced peak that prune_tensor allocates on top of the float32 tensor
+    it reads, and that tensor's size in bytes."""
+    path = tmp_path / "t.nmsp"
+    values = RandomStream(95).normals((1024, 1024)).astype(np.float32)
+    write_tensor(path, BlockedTensor.from_array(values))
+    pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
+    tracemalloc.start()
+    try:
+        t = read_tensor(path)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pruned = prune_tensor(t, kind, pattern, RandomStream(96))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.data.dtype == np.float32 and pruned.data.dtype == np.float32
+    return peak - before, values.nbytes
+
+
 class TestPruneTensorMemory:
     @pytest.mark.parametrize("kind", list(EstimatorKind))
-    def test_peak_stays_within_three_payloads(self, kind, tmp_path):
+    def test_peak_stays_within_three_payloads(self, kind, tmp_path, one_worker):
         # What prune_tensor allocates on top of the tensor it reads: the
         # output, the mask and one chunk's temporaries, no full-size float64.
-        path = tmp_path / "t.nmsp"
-        values = RandomStream(95).normals((1024, 1024)).astype(np.float32)
-        write_tensor(path, BlockedTensor.from_array(values))
-        pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
-        tracemalloc.start()
-        try:
-            t = read_tensor(path)
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            pruned = prune_tensor(t, kind, pattern, RandomStream(96))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert t.data.dtype == np.float32 and pruned.data.dtype == np.float32
-        assert peak - before <= 3 * values.nbytes
+        peak, payload = prune_tensor_peak(kind, tmp_path)
+        assert peak <= 3 * payload
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_each_further_worker_adds_one_chunk(self, kind, tmp_path, monkeypatch, four_workers):
+        # Chunks run side by side, one per CPU, and the calling thread draws
+        # uniforms only a chunk per CPU ahead: each further CPU may add one
+        # chunk's float64 temporaries, eight (blocks, 4) arrays at most.
+        pooled, _ = prune_tensor_peak(kind, tmp_path)
+        with monkeypatch.context() as m:
+            m.setattr(estimators, "_pool", None)
+            m.setattr(estimators, "_pool_cpus", 1)
+            serial, _ = prune_tensor_peak(kind, tmp_path)
+        assert pooled - serial <= 3 * 8 * PRUNE_CHUNK_BLOCKS * 4 * 8
+
+
+class TestExtremeScaleProbabilities:
+    """Probabilities do not depend on scale: blocks whose total overflows
+    or is subnormal get the probabilities of the same block at unit scale."""
+
+    BLOCK = np.array([[1.0, 2.0, 3.0, 4.0]])
+    NEAR_MAX = np.array([[1e308, 1e308, 1e308, 5e307]])
+
+    def test_subnormal_block(self):
+        tiny = self.BLOCK * 1e-310
+        np.testing.assert_allclose(exact24_pair_probs(tiny), exact24_pair_probs(self.BLOCK), rtol=1e-9)
+        np.testing.assert_allclose(
+            exact24_marginal_probs(tiny), exact24_marginal_probs(self.BLOCK), rtol=1e-9
+        )
+        np.testing.assert_allclose(
+            approx24_exclusion_probs(tiny), approx24_exclusion_probs(self.BLOCK), rtol=1e-9
+        )
+        np.testing.assert_allclose(mvue12_selection_probs([[1e-320, 3e-320]]), [[0.25, 0.75]])
+
+    def test_near_maximum_block(self):
+        with np.errstate(all="raise"):
+            marginals = exact24_marginal_probs(self.NEAR_MAX)
+            pairs = exact24_pair_probs(self.NEAR_MAX)
+            exclusion = approx24_exclusion_probs(np.full((1, 4), 1e308))
+            approx_pairs = approx24_pair_probs(np.full((1, 4), 1e308))
+            selection = mvue12_selection_probs([[1e308, 1e308]])
+        np.testing.assert_allclose(marginals, [[4 / 7, 4 / 7, 4 / 7, 2 / 7]], rtol=1e-12)
+        assert np.all(np.isfinite(pairs)) and pairs.sum() == pytest.approx(1.0)
+        np.testing.assert_allclose(exclusion, np.full((1, 4), 0.5), rtol=1e-12)
+        np.testing.assert_allclose(approx_pairs, np.full((1, 6), 1 / 6), rtol=1e-12)
+        np.testing.assert_allclose(selection, [[0.5, 0.5]])
+
+    def test_normal_blocks_are_unchanged(self):
+        normal = random_test_blocks(200, 4, seed=106)
+        mixed = np.concatenate([normal, self.NEAR_MAX, self.BLOCK * 1e-310])
+        for probs in (exact24_pair_probs, exact24_marginal_probs, approx24_exclusion_probs,
+                      approx24_pair_probs):
+            np.testing.assert_array_equal(probs(mixed)[:200], probs(normal))
