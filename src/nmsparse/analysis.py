@@ -493,11 +493,10 @@ def verify_estimator(
         mse_se_closed = _squared_error_sd(kind, blocks, kept_sets, set_probs) / math.sqrt(samples)
 
     # Each block draws from its own stream, so the blocks run on every CPU.
-    reports = _map_ordered(
-        lambda idx: mc_estimate(Block(blocks[idx]), kind, samples, seed + idx, pattern),
-        range(num_blocks),
-    )
-    for idx, report in enumerate(reports):
+    def estimate(idx: int) -> McReport:
+        return mc_estimate(Block(blocks[idx]), kind, samples, seed + idx, pattern)
+
+    for idx, report in enumerate(_map_ordered(estimate, range(num_blocks))):
         # Pattern compliance: every draw keeps exactly pattern.kept entries
         # (mc_estimate would have failed otherwise) and frequencies sum to 1.
         if abs(sum(report.pair_frequencies.values()) - 1.0) > 1e-9:

@@ -293,21 +293,20 @@ def merge_blocks(
     return merge_axis(arr, tail, shape, block_axis)
 
 
-def _coded_split(t: BlockedTensor, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _coded_split(t: BlockedTensor, m: int, split=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_split_blocks of t plus each block's nonzero bit code (bit i: entry i
     nonzero), kept with the read-only tensor for the pattern check and
-    compress to share. A producer that holds the tensor's values in block
-    layout may store (blocks, tail) there first; the codes read them."""
-    split = t._split.get(m)
-    if split is None or len(split) == 2:
+    compress to share. A producer that holds t's values in block layout,
+    read-only, may pass them as split = (blocks, tail) instead."""
+    if m not in t._split:
         blocks, tail = split or _split_blocks(t, m)
         nonzero = (blocks != 0.0).view(np.uint8)
         codes = np.zeros(blocks.shape[0], dtype=np.uint8)
         for i in range(m):
             codes |= nonzero[:, i] << i
         codes.setflags(write=False)
-        split = t._split[m] = (blocks, tail, codes)
-    return split
+        t._split[m] = (blocks, tail, codes)
+    return t._split[m]
 
 
 def pattern_violations(t: BlockedTensor, pattern: SparsityPattern) -> int:

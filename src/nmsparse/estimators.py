@@ -29,7 +29,7 @@ import enum
 import itertools
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .core import (
     PrunedBlock,
     SparsityPattern,
     _float_data,
+    _coded_split,
     _split_blocks,
     merge_axis,
 )
@@ -119,20 +120,21 @@ def _float_blocks(values, m: int | None = None) -> np.ndarray:
     return arr
 
 
-_TINY = np.finfo(np.float64).tiny
-
-
 def _scale_safe(values: np.ndarray) -> np.ndarray:
-    """values, but blocks whose total overflows or is below the smallest
-    normal scaled exactly, by a power of two, to a max in [0.5, 1): the
-    probabilities do not depend on scale, and the formulas would lose them."""
+    """values, but blocks whose magnitude total overflows or is subnormal
+    scaled exactly to a max in [0.5, 1), as probabilities do not depend on
+    scale and the formulas would lose them there. Only an entry near the
+    maximum or a subnormal one can make a total so: the common path looks
+    for those alone, with no row sums."""
+    mags, tiny = np.abs(values), np.finfo(np.float64).tiny
+    if mags.max(initial=0.0) < 2.0**1020 and not np.any((mags > 0.0) & (mags < tiny)):
+        return values
     with np.errstate(over="ignore"):
-        total = np.abs(values).sum(axis=1)
-    extreme = ~(np.isfinite(total) & (total >= _TINY))
-    if np.any(extreme):
-        values = values.copy()
-        _, exponent = np.frexp(np.abs(values[extreme]).max(axis=1))
-        values[extreme] = np.ldexp(values[extreme], -exponent[:, None])
+        total = mags.sum(axis=1)
+    extreme = (total == np.inf) | ((total > 0.0) & (total < tiny))
+    values = values.copy()
+    exponent = np.frexp(mags[extreme].max(axis=1))[1]
+    values[extreme] = np.ldexp(values[extreme], -exponent[:, None])
     return values
 
 
@@ -185,31 +187,34 @@ def prune_mvue12_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, n
     the original entry componentwise. An all-zero block keeps index 0.
     """
     values = _block_matrix(values, 2)
+    keep0, total = _magnitude_draw12(values, u)
+    return _keep_one_of_two(values, keep0, np.sign(values) * total[:, None])
+
+
+def _magnitude_draw12(values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each 1:2 block keeps entry 0, drawn with P = |a0| / (|a0| + |a1|)
+    (1 for an all-zero block), and the blocks' magnitude totals."""
     mags = np.abs(values)
     total = mags.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        p0 = np.where(total > 0.0, mags[:, 0] / total, 1.0)
-    keep0 = u < p0
-    out = np.zeros_like(values)
-    out[:, 0] = np.where(keep0, np.sign(values[:, 0]) * total, 0.0)
-    out[:, 1] = np.where(keep0, 0.0, np.sign(values[:, 1]) * total)
+        return u < np.where(total > 0.0, mags[:, 0] / total, 1.0), total
+
+
+def _keep_one_of_two(
+    values: np.ndarray, keep0: np.ndarray, survivors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(out, mask) of 1:2 blocks that keep survivors[:, 0] where keep0, else
+    survivors[:, 1]; out is laid out like values."""
     mask = np.stack([keep0, ~keep0], axis=1)
+    out = np.zeros_like(values)
+    np.copyto(out, survivors, where=mask)
     return out, mask
 
 
 def prune_biased12_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Magnitude-proportional selection, survivor kept at its raw value."""
     values = _block_matrix(values, 2)
-    mags = np.abs(values)
-    total = mags.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p0 = np.where(total > 0.0, mags[:, 0] / total, 1.0)
-    keep0 = u < p0
-    out = np.zeros_like(values)
-    out[:, 0] = np.where(keep0, values[:, 0], 0.0)
-    out[:, 1] = np.where(keep0, 0.0, values[:, 1])
-    mask = np.stack([keep0, ~keep0], axis=1)
-    return out, mask
+    return _keep_one_of_two(values, _magnitude_draw12(values, u)[0], values)
 
 
 def prune_uniform12_array(
@@ -217,13 +222,7 @@ def prune_uniform12_array(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fair-coin selection; with rescale=True the survivor is doubled."""
     values = _block_matrix(values, 2)
-    keep0 = u < 0.5
-    scale = 2.0 if rescale else 1.0
-    out = np.zeros_like(values)
-    out[:, 0] = np.where(keep0, scale * values[:, 0], 0.0)
-    out[:, 1] = np.where(keep0, 0.0, scale * values[:, 1])
-    mask = np.stack([keep0, ~keep0], axis=1)
-    return out, mask
+    return _keep_one_of_two(values, u < 0.5, (2.0 if rescale else 1.0) * values)
 
 
 def mvue12_selection_probs(values: np.ndarray) -> np.ndarray:
@@ -424,7 +423,7 @@ def prune_mvue24_exact_array(
     three_zero = regime3 & (small == 0.0)
     if np.any(three_zero):
         col[three_zero] = _THREE_ZERO_COLUMNS[(3.0 * u[three_zero]).astype(np.intp)]
-    # Free the draw's rows first: prune_array runs a chunk per CPU at once.
+    # Free the draw's rows first: prune_array runs chunks side by side.
     del b1, b2, b3, small, total, x, middle
 
     mask = np.empty(values.shape, dtype=bool)
@@ -704,67 +703,48 @@ _SAMPLERS = {
 # 16k 2:4 blocks is 512 KiB, and verify's 10k-draw calls take one chunk.
 PRUNE_CHUNK_BLOCKS = 1 << 14
 
-# The worker pool of _map_ordered, made on first use: one thread per CPU
-# of the process's affinity set but the calling thread's own. A forked
-# child, which has none of the threads, makes its own.
+# _map_ordered's pool, made on first use: a thread per CPU of the affinity
+# set but one, as the calling thread runs a share. A forked child makes its own.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool: ThreadPoolExecutor | None = None
-_pool_cpus = 0  # 0 until the pool is made
 _pool_lock = threading.Lock()
 _in_worker = threading.local()
 
 
 def _drop_pool() -> None:
-    global _pool, _pool_cpus, _pool_lock
-    _pool, _pool_cpus, _pool_lock = None, 0, threading.Lock()
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _worker_pool() -> ThreadPoolExecutor | None:
-    """The pool, or None on one CPU and inside one of its own workers."""
-    global _pool, _pool_cpus
-    with _pool_lock:
-        if not _pool_cpus:
-            affinity = getattr(os, "sched_getaffinity", None)
-            _pool_cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-            if _pool_cpus > 1:
-                _pool = ThreadPoolExecutor(_pool_cpus - 1, "nmsparse", initializer=setattr,
-                                           initargs=(_in_worker, "active", True))
-    return None if getattr(_in_worker, "active", False) else _pool
-
-
-def _map_ordered(fn, items) -> list:
-    """[fn(item) for item in items], spread over the calling thread and
-    the worker pool, with the results in input order.
-
-    The calling thread takes the items in order, at most one per CPU ahead
-    of the oldest unfinished one, and runs every CPU-th item itself. The
-    others run in a copy of its context, so np.errstate holds there too.
-    One item, one CPU or a call from a worker runs inline, so no worker
-    ever waits on a task. An exception cancels the tasks not yet started.
-    """
-    items = iter(items)
+def _map_ordered(fn, items, window: int | None = None) -> list:
+    """[fn(item) for item in items], run in batches of min(CPUs, window)
+    items: the calling thread takes them in order and runs the last of each
+    batch, the pool the others, each in a copy of the caller's context (so
+    np.errstate holds). One item, one CPU or a call from a pool worker runs
+    inline, so no worker ever waits on a task."""
+    global _pool
+    items, width = iter(items), min(_CPUS, window or _CPUS)
     head = list(itertools.islice(items, 2))
-    pool = _worker_pool() if len(head) == 2 else None
-    if pool is None:
-        return [fn(item) for item in itertools.chain(head, items)]
-    cpus, futures = _pool_cpus, []
-    try:
-        for i, item in enumerate(itertools.chain(head, items)):
-            if i % cpus == cpus - 1:  # the calling thread's share
-                futures.append(Future())
-                futures[-1].set_result(fn(item))
-            else:
-                futures.append(pool.submit(contextvars.copy_context().run, fn, item))
-            if i >= cpus:
-                futures[i - cpus].result()
-        return [future.result() for future in futures]
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        raise
+    items = itertools.chain(head, items)
+    if len(head) < 2 or width < 2 or getattr(_in_worker, "active", False):
+        return [fn(item) for item in items]
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_CPUS - 1, "nmsparse", initializer=setattr,
+                                       initargs=(_in_worker, "active", True))
+    results = []
+    while futures := [_pool.submit(contextvars.copy_context().run, fn, item)
+                      for item in itertools.islice(items, width - 1)]:
+        try:
+            last = [fn(item) for item in itertools.islice(items, 1)]
+        finally:
+            wait(futures)  # no task outlives the call, even when it raises
+        results += [future.result() for future in futures] + last
+    return results
 
 
 def prune_array(
@@ -777,19 +757,15 @@ def prune_array(
 
     Returns (pruned values, keep mask), the values in the input's dtype,
     float32 or float64. The kernel runs on chunks of PRUNE_CHUNK_BLOCKS
-    blocks, spread over the CPUs by _map_ordered. The calling thread draws
-    each chunk's uniforms in chunk order, which gives exactly the uniforms
-    of one draw, whatever the number of CPUs. Stochastic kernels widen each
-    chunk to float64.
+    blocks, spread over the CPUs, whose uniforms the calling thread draws in
+    chunk order: exactly the uniforms of one draw. Stochastic kernels widen
+    each chunk to float64.
     """
     pattern = resolve_pattern(kind, pattern)
     values = _float_blocks(values, pattern.m)
     if kind.is_stochastic and stream is None:
         raise ValueError(f"method {kind.value!r} is stochastic and needs a RandomStream")
-    if kind is EstimatorKind.GREEDY_MSE:
-        draws, kernel = 0, lambda v, u: prune_greedy_array(v, pattern)
-    else:
-        draws, kernel = _SAMPLERS[kind]
+    draws, kernel = _SAMPLERS.get(kind, (0, lambda v, u: prune_greedy_array(v, pattern)))
 
     def uniforms(rows: slice) -> np.ndarray | None:
         return stream.uniforms((len(values[rows]), draws)) if draws else None
@@ -809,9 +785,11 @@ def prune_array(
         with np.errstate(over="ignore"):
             out[rows] = part
 
-    starts = range(0, len(values), PRUNE_CHUNK_BLOCKS)
-    chunks = (slice(start, start + PRUNE_CHUNK_BLOCKS) for start in starts)
-    _map_ordered(prune_chunk, ((rows, uniforms(rows)) for rows in chunks))
+    chunks = [slice(start, start + PRUNE_CHUNK_BLOCKS)
+              for start in range(0, len(values), PRUNE_CHUNK_BLOCKS)]
+    # At most one chunk in eight in flight, two at least: whatever the CPU
+    # count, the temporaries held at once stay a small share of the call's.
+    _map_ordered(prune_chunk, ((rows, uniforms(rows)) for rows in chunks), max(2, len(chunks) // 8))
     return out, mask
 
 
@@ -832,9 +810,7 @@ def prune_tensor(
         blocks.setflags(write=False)
     tail = DenseTail(tail, pattern.m, t.shape[t.block_axis] // pattern.m)
     out = merge_axis(blocks, tail, t.shape, t.block_axis)
-    # The output's values in block layout, for the pattern check and
-    # compress, which would otherwise split the output again.
-    out._split[pattern.m] = (blocks, tail.values)
+    _coded_split(out, pattern.m, (blocks, tail.values))  # no second split
     return out
 
 

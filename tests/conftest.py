@@ -12,7 +12,7 @@ from nmsparse import estimators
 def one_worker(monkeypatch):
     """Every task runs inline in the calling thread, as on one CPU."""
     monkeypatch.setattr(estimators, "_pool", None)
-    monkeypatch.setattr(estimators, "_pool_cpus", 1)
+    monkeypatch.setattr(estimators, "_CPUS", 1)
 
 
 @pytest.fixture
@@ -23,7 +23,7 @@ def four_workers(monkeypatch):
         3, "nmsparse-test", initializer=setattr, initargs=(estimators._in_worker, "active", True)
     )
     monkeypatch.setattr(estimators, "_pool", pool)
-    monkeypatch.setattr(estimators, "_pool_cpus", 4)
+    monkeypatch.setattr(estimators, "_CPUS", 4)
     yield pool
     pool.shutdown(wait=False, cancel_futures=True)
 

@@ -462,23 +462,17 @@ class TestVerifyEstimator:
         # a run on the calling thread alone.
         with monkeypatch.context() as m:
             m.setattr(estimators, "_pool", None)
-            m.setattr(estimators, "_pool_cpus", 1)
+            m.setattr(estimators, "_CPUS", 1)
             m.setattr(analysis, "mc_estimate", lambda block, kind, samples, seed, pattern: serial.pop(seed))
             assert verify_estimator(kind, num_blocks=12, samples=2_000, seed=3) == checks
         assert serial == {}
-
-    def test_worker_count_does_not_change_the_checks(self, request):
-        args = (EstimatorKind.MVUE24_APPROX, 10, 2_000, 5)
-        default = verify_estimator(*args)
-        request.getfixturevalue("one_worker")
-        assert verify_estimator(*args) == default
 
     def test_nested_multi_chunk_calls_finish(self, request, four_workers, within_seconds):
         # samples > PRUNE_CHUNK_BLOCKS: each block's prune_array call maps
         # its own chunks, from a pool worker or from the calling thread.
         args = (EstimatorKind.MVUE24_EXACT, 6, PRUNE_CHUNK_BLOCKS + 5, 8)
         pooled = within_seconds(lambda: verify_estimator(*args), 120)
-        estimators._pool, estimators._pool_cpus = None, 1  # restored by the fixture
+        estimators._pool, estimators._CPUS = None, 1  # restored by the fixture
         assert verify_estimator(*args) == pooled
 
     def test_detail_strings_are_informative(self):
