@@ -18,20 +18,14 @@ import numpy as np
 
 from .core import Block, BlockMask, SparsityPattern
 from .estimators import (
-    PAIR_INDEX_COLUMNS,
+    METHODS,
     EstimatorKind,
     _map_ordered,
-    approx24_pair_probs,
     approx24_variance_array,
     elementwise_variance_array,
-    exact24_marginal_probs,
-    exact24_pair_probs,
-    greedy_mask_array,
-    mvue12_selection_probs,
-    mvue12_variance_array,
+    entry_moments,
     prune_array,
     resolve_pattern,
-    variance_from_probs_array,
 )
 from .rng import RandomStream
 
@@ -162,28 +156,10 @@ def brute_force_min_mse_mask(
 # four magnitudes coincide.
 
 
-def variance_gap_d(block: Block) -> tuple[float, float]:
-    """Return (D, identity_check) for one length-4 block.
-
-    D = V_24 - V_paired_12 computed from the two variance formulas;
-    identity_check = -((b1-b4)+(b2-b3))^2 / 2 on sorted magnitudes. Raises
-    if the two disagree beyond 1e-9 or D is materially positive.
-    """
-    if len(block) != 4:
-        raise ValueError("expected a length-4 block")
-    d, check = variance_gap_arrays(np.abs(block.values[None, :]))
-    d_val, check_val = float(d[0]), float(check[0])
-    if abs(d_val - check_val) > 1e-9:
-        raise AssertionError(
-            f"variance gap {d_val} deviates from identity {check_val}"
-        )
-    if d_val > 1e-9:
-        raise AssertionError(f"variance gap must be <= 0, got {d_val}")
-    return d_val, check_val
-
-
 def variance_gap_arrays(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vector form of variance_gap_d on (num_blocks, 4) magnitudes."""
+    """(D, identity_check) per block of (num_blocks, 4) magnitudes: D =
+    V_24 - V_paired_12 from the two variance formulas, and identity_check
+    = -((b1-b4)+(b2-b3))^2 / 2 on the sorted magnitudes."""
     mags = np.asarray(mags, dtype=np.float64)
     if mags.ndim != 2 or mags.shape[1] != 4:
         raise ValueError("expected shape (num_blocks, 4)")
@@ -223,7 +199,7 @@ def _ratio_chunk(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """(var_exact, var_approx, ratio) for (N, 3) grid points; NaN ratio
     marks skipped points."""
     blocks = np.concatenate([points, np.ones((points.shape[0], 1))], axis=1)
-    var_exact = variance_from_probs_array(blocks, exact24_marginal_probs(blocks))
+    var_exact = entry_moments(blocks, EstimatorKind.MVUE24_EXACT)[0].sum(axis=1)
     var_approx = approx24_variance_array(blocks)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(var_exact >= _VAR_EXACT_FLOOR, var_approx / var_exact, np.nan)
@@ -352,46 +328,6 @@ class PropertyCheck:
     detail: str
 
 
-def _closed_form_mse(kind: EstimatorKind, values: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
-    """Expected per-draw squared block error (variance + squared bias)."""
-    if kind is EstimatorKind.MVUE12:
-        return mvue12_variance_array(values)
-    if kind is EstimatorKind.MVUE24_EXACT:
-        return variance_from_probs_array(values, exact24_marginal_probs(values))
-    if kind is EstimatorKind.MVUE24_APPROX:
-        return approx24_variance_array(values)
-    sq = (values * values).sum(axis=1)
-    if kind is EstimatorKind.UNBIASED_UNIFORM12:
-        return sq
-    if kind is EstimatorKind.UNIFORM12:
-        return 0.5 * sq
-    if kind is EstimatorKind.BIASED12:
-        return np.abs(values[:, 0] * values[:, 1])
-    if kind is EstimatorKind.GREEDY_MSE:
-        mask = greedy_mask_array(values, pattern)
-        return np.where(mask, 0.0, values * values).sum(axis=1)
-    raise ValueError(f"unhandled method {kind}")
-
-
-_ONE_OF_TWO = ((0,), (1,))
-
-
-def _kept_set_probs(
-    kind: EstimatorKind, values: np.ndarray
-) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """Kept-index sets and, per block, their probabilities implied by the
-    method's probabilities: (sets, (num_blocks, len(sets)) array)."""
-    if kind in (EstimatorKind.MVUE12, EstimatorKind.BIASED12):
-        return _ONE_OF_TWO, mvue12_selection_probs(values)
-    if kind in (EstimatorKind.UNIFORM12, EstimatorKind.UNBIASED_UNIFORM12):
-        return _ONE_OF_TWO, np.full((values.shape[0], 2), 0.5)
-    if kind is EstimatorKind.MVUE24_EXACT:
-        return PAIR_INDEX_COLUMNS, exact24_pair_probs(values)
-    if kind is EstimatorKind.MVUE24_APPROX:
-        return PAIR_INDEX_COLUMNS, approx24_pair_probs(values)
-    raise ValueError(f"no frequency model for {kind}")
-
-
 def _squared_error_sd(
     kind: EstimatorKind,
     values: np.ndarray,
@@ -401,17 +337,17 @@ def _squared_error_sd(
     """Per block, the standard deviation of the per-draw squared block
     error when kept set k is drawn with probability probs[:, k].
 
-    Each kept set has a fixed squared error: survivors are a_i / p_i for
-    the unbiased methods (p_i the marginal of entry i) and a_i otherwise.
+    Each kept set has a fixed squared error: survivors are a_i / p_i with
+    the method's keep probability p_i when it rescales, a_i otherwise.
     """
     keep = np.zeros((len(sets), values.shape[1]), dtype=bool)
     for k, kept_set in enumerate(sets):
         keep[k, list(kept_set)] = True
     survivors = values
     if kind.is_unbiased:
-        marginals = probs @ keep
+        p, _ = METHODS[kind].probs(values, None)
         with np.errstate(invalid="ignore", divide="ignore"):
-            survivors = np.where(marginals > 0.0, values / marginals, 0.0)
+            survivors = np.where(p > 0.0, values / p, 0.0)
     diff = np.where(keep, survivors[:, None, :], 0.0) - values[:, None, :]
     err = (diff * diff).sum(axis=2)
     dev = err - (probs * err).sum(axis=1, keepdims=True)
@@ -485,10 +421,10 @@ def verify_estimator(
     worst_freq_z = 0.0
     pattern_failures = 0
 
-    mse_expected = _closed_form_mse(kind, blocks, pattern)
+    mse_expected = entry_moments(blocks, kind, pattern)[0].sum(axis=1)
     mse_se_closed = np.zeros(num_blocks)
     if kind.is_stochastic:
-        kept_sets, set_probs = _kept_set_probs(kind, blocks)
+        kept_sets, set_probs = METHODS[kind].kept_set_probs(blocks)
         mean_se_closed = np.sqrt(elementwise_variance_array(blocks, kind) / samples)
         mse_se_closed = _squared_error_sd(kind, blocks, kept_sets, set_probs) / math.sqrt(samples)
 

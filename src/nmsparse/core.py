@@ -59,19 +59,6 @@ def _float_data(values) -> np.ndarray:
     return arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
 
 
-def _finite_vector(values, length: int | None = None) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    if length is not None and arr.shape[0] != length:
-        raise ValueError(f"expected length {length}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite entries are not allowed")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Block:
     """One contiguous run of m values taken from the blocking axis."""
@@ -79,9 +66,14 @@ class Block:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _finite_vector(self.values)
+        arr = np.array(self.values, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("non-finite entries are not allowed")
         if arr.shape[0] not in SUPPORTED_BLOCK_LENGTHS:
             raise ValueError(f"block length must be one of {SUPPORTED_BLOCK_LENGTHS}")
+        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -109,23 +101,6 @@ class BlockMask:
 
     def kept_indices(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.flatnonzero(self.kept))
-
-
-@dataclass(frozen=True, eq=False)
-class PrunedBlock:
-    """A block after pruning: zeros off-mask, finite values on-mask."""
-
-    values: np.ndarray
-    mask: BlockMask
-
-    def __post_init__(self):
-        arr = _finite_vector(self.values, length=self.mask.pattern.m)
-        if np.any(arr[~self.mask.kept] != 0.0):
-            raise ValueError("pruned positions must hold exact zeros")
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return int(self.values.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,25 +247,6 @@ def merge_axis(
     moved[..., axis_len - remainder :] = tail.values.reshape(lead_shape + (remainder,))
     out.setflags(write=False)
     return BlockedTensor(shape, out, axis)
-
-
-def split_into_blocks(
-    t: BlockedTensor, pattern: SparsityPattern
-) -> tuple[list[Block], DenseTail]:
-    """Split along t.block_axis into Block objects plus the dense tail."""
-    blocked, tail = split_axis(t, pattern.m)
-    return [Block(row) for row in blocked], tail
-
-
-def merge_blocks(
-    blocks: Sequence[Block], tail: DenseTail, shape: Sequence[int], block_axis: int
-) -> BlockedTensor:
-    """Reassemble blocks produced by split_into_blocks; exact inverse."""
-    if blocks:
-        arr = np.stack([b.values for b in blocks])
-    else:
-        arr = np.zeros((0, tail.block_len), dtype=np.float64)
-    return merge_axis(arr, tail, shape, block_axis)
 
 
 def _coded_split(t: BlockedTensor, m: int, split=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,8 +18,11 @@ Three 1:2 reference baselines are included for comparison: ``biased``
 flip without rescaling) and ``unbiased-uniform`` (coin flip with 2x
 rescaling).
 
-All functions treat a kept value of a zero entry as exact zero and use the
-convention 0^2 / 0 = 0 in variance formulas.
+Each method is one ``Method`` record in ``METHODS``: its pattern, kernel,
+keep and drop probabilities (p, q), rescale flag and error factor. Every
+variance and error formula is derived from the record. All functions
+treat a kept value of a zero entry as exact zero and use the convention
+0^2 / 0 = 0.
 """
 
 from __future__ import annotations
@@ -30,15 +33,14 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .core import (
-    Block,
-    BlockMask,
     BlockedTensor,
     DenseTail,
-    PrunedBlock,
     SparsityPattern,
     _float_data,
     _coded_split,
@@ -65,24 +67,15 @@ class EstimatorKind(enum.Enum):
     @property
     def required_pattern(self) -> SparsityPattern | None:
         """Pattern the method is defined for; None means any pattern."""
-        if self in (EstimatorKind.MVUE24_EXACT, EstimatorKind.MVUE24_APPROX):
-            return PATTERN_24
-        if self is EstimatorKind.GREEDY_MSE:
-            return None
-        return PATTERN_12
+        return METHODS[self].pattern
 
     @property
     def is_stochastic(self) -> bool:
-        return self is not EstimatorKind.GREEDY_MSE
+        return METHODS[self].draws > 0
 
     @property
     def is_unbiased(self) -> bool:
-        return self in (
-            EstimatorKind.MVUE12,
-            EstimatorKind.MVUE24_EXACT,
-            EstimatorKind.MVUE24_APPROX,
-            EstimatorKind.UNBIASED_UNIFORM12,
-        )
+        return METHODS[self].rescale
 
     @classmethod
     def from_name(cls, name: str) -> "EstimatorKind":
@@ -120,22 +113,50 @@ def _float_blocks(values, m: int | None = None) -> np.ndarray:
     return arr
 
 
-def _scale_safe(values: np.ndarray) -> np.ndarray:
-    """values, but blocks whose magnitude total overflows or is subnormal
-    scaled exactly to a max in [0.5, 1), as probabilities do not depend on
-    scale and the formulas would lose them there. Only an entry near the
-    maximum or a subnormal one can make a total so: the common path looks
-    for those alone, with no row sums."""
-    mags, tiny = np.abs(values), np.finfo(np.float64).tiny
-    if mags.max(initial=0.0) < 2.0**1020 and not np.any((mags > 0.0) & (mags < tiny)):
+# A block is out of range when its largest magnitude is not in [_LOW, _HIGH):
+# its magnitude total may overflow, or subnormal rounding may move a draw.
+# Probabilities and draws do not depend on scale, so such a block is scaled
+# by a power of two, which is exact, and its survivors are scaled back.
+_LOW, _HIGH = 2.0**-1000, 2.0**1000
+
+
+class _OutOfRange(ValueError):
+    """A float64 kernel met a block out of its range; prune_array scales
+    such blocks into range."""
+
+
+_OUT_OF_RANGE = "block magnitudes out of the kernels' range; prune_array scales them"
+
+
+def _check_total(total: np.ndarray, low: bool = True) -> None:
+    """Raise _OutOfRange if a per-block magnitude total overflowed or, with
+    ``low``, lies in (0, _LOW), as only an out-of-range block's can."""
+    small = total < _LOW if low else None
+    if total.max(initial=0.0) == np.inf or (
+        low and np.any(small) and np.count_nonzero(small) > np.count_nonzero(total == 0.0)
+    ):
+        raise _OutOfRange(_OUT_OF_RANGE)
+
+
+def _in_range(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """values with each out-of-range block scaled by 2**-e to a largest
+    magnitude in [0.5, 1), and e per block (0 for the others), or None when
+    every block is in range. Only an entry outside [_LOW, _HIGH) can put a
+    block out of range: the common path looks for those alone."""
+    mags = np.abs(values)
+    if mags.max(initial=0.0) < _HIGH and not np.any((mags > 0.0) & (mags < _LOW)):
+        return values, None
+    top = mags.max(axis=1)
+    exponent = np.where((top >= _HIGH) | ((top > 0.0) & (top < _LOW)), np.frexp(top)[1], 0)
+    return np.ldexp(values, -exponent[:, None]), exponent
+
+
+def _unscale(values: np.ndarray, exponent: np.ndarray | None) -> np.ndarray:
+    """Undo _in_range's scaling of (n, m) blocks; beyond float64 is +-inf."""
+    if exponent is None:
         return values
     with np.errstate(over="ignore"):
-        total = mags.sum(axis=1)
-    extreme = (total == np.inf) | ((total > 0.0) & (total < tiny))
-    values = values.copy()
-    exponent = np.frexp(mags[extreme].max(axis=1))[1]
-    values[extreme] = np.ldexp(values[extreme], -exponent[:, None])
-    return values
+        return np.ldexp(values, exponent[:, None])
 
 
 def _magnitude_rows(values: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -179,68 +200,59 @@ def prune_greedy_array(
 # 1:2 estimators
 
 
-def prune_mvue12_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-variance unbiased 1:2 pruning.
-
-    Keeps entry 0 with probability |a0| / (|a0| + |a1|), else entry 1; the
-    survivor is replaced by sign * (|a0| + |a1|), whose expectation equals
-    the original entry componentwise. An all-zero block keeps index 0.
-    """
-    values = _block_matrix(values, 2)
-    keep0, total = _magnitude_draw12(values, u)
-    return _keep_one_of_two(values, keep0, np.sign(values) * total[:, None])
-
-
-def _magnitude_draw12(values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each 1:2 block keeps entry 0, drawn with P = |a0| / (|a0| + |a1|)
-    (1 for an all-zero block), and the blocks' magnitude totals."""
-    mags = np.abs(values)
-    total = mags.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return u < np.where(total > 0.0, mags[:, 0] / total, 1.0), total
-
-
-def _keep_one_of_two(
-    values: np.ndarray, keep0: np.ndarray, survivors: np.ndarray
+def prune_mvue12_array(
+    values: np.ndarray, u: np.ndarray, proportional: bool = True, rescale: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(out, mask) of 1:2 blocks that keep survivors[:, 0] where keep0, else
-    survivors[:, 1]; out is laid out like values."""
-    mask = np.stack([keep0, ~keep0], axis=1)
-    out = np.zeros_like(values)
-    np.copyto(out, survivors, where=mask)
+    """1:2 pruning, one uniform per block, on contiguous (2, n) rows.
+
+    With ``proportional`` entry 0 is kept with probability P = |a0| / (|a0|
+    + |a1|) (1 for an all-zero block), else by a fair coin. With
+    ``rescale`` the survivor is divided by its keep probability: it becomes
+    sign * (|a0| + |a1|), or twice its value for the coin. The defaults
+    are mvue12, the minimum-variance unbiased 1:2 estimator.
+    """
+    check = np.asarray(values).dtype == np.float64
+    values = _block_matrix(values, 2)
+    rows = values.T
+    if proportional:
+        m0, m1 = _magnitude_rows(values)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            total = m0 + m1
+            if check:  # a subnormal total is an exact sum, P a correctly rounded ratio
+                _check_total(total, low=False)
+            keep0 = u < np.where(total > 0.0, m0 / total, 1.0)
+    else:
+        keep0 = u < 0.5
+    mask = np.empty(values.shape, dtype=bool)
+    keep = mask.T
+    keep[0] = keep0
+    np.logical_not(keep0, out=keep[1])
+    if not rescale:
+        survivors = rows
+    elif proportional:
+        survivors = np.sign(rows) * total
+    else:
+        survivors = 2.0 * rows
+    out = np.empty_like(values)
+    out.T[...] = np.where(keep, survivors, 0.0)
     return out, mask
 
 
-def prune_biased12_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitude-proportional selection, survivor kept at its raw value."""
-    values = _block_matrix(values, 2)
-    return _keep_one_of_two(values, _magnitude_draw12(values, u)[0], values)
-
-
-def prune_uniform12_array(
-    values: np.ndarray, u: np.ndarray, rescale: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fair-coin selection; with rescale=True the survivor is doubled."""
-    values = _block_matrix(values, 2)
-    return _keep_one_of_two(values, u < 0.5, (2.0 if rescale else 1.0) * values)
+def _proportional12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) of magnitude-proportional 1:2 selection: p_i = |a_i| / T and
+    q_0 = |a_1| / T, a sum rather than 1 - p_0; an all-zero block keeps
+    index 0."""
+    values = _in_range(_block_matrix(values, 2))[0]
+    mags = np.abs(values)
+    total = mags.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = np.where(total > 0.0, mags / total, (1.0, 0.0))
+    return p, p[:, ::-1]
 
 
 def mvue12_selection_probs(values: np.ndarray) -> np.ndarray:
     """P(keep index i) for mvue12/biased12; all-zero blocks keep index 0."""
-    values = _scale_safe(_block_matrix(values, 2))
-    mags = np.abs(values)
-    total = mags.sum(axis=1, keepdims=True)
-    probs = np.empty_like(mags)
-    nz = total[:, 0] > 0.0
-    probs[nz] = mags[nz] / total[nz]
-    probs[~nz] = (1.0, 0.0)
-    return probs
-
-
-def mvue12_variance_array(values: np.ndarray) -> np.ndarray:
-    """Total estimator variance per 1:2 block: 2 |a0| |a1|."""
-    values = _block_matrix(values, 2)
-    return 2.0 * np.abs(values[:, 0] * values[:, 1])
+    return _proportional12(values)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +275,16 @@ def mvue12_variance_array(values: np.ndarray) -> np.ndarray:
 # identical distributions, so routing boundaries to the lower-numbered
 # regime is arbitrary.
 #
-# The sampler draws the pair without forming the table. Scaled by S/2 in
-# regimes 1-2 and by b1 + b2 + b3 in regime 3, the running sums of the six
-# pair probabilities (in PAIR_INDEX_COLUMNS order) are
+# Scaled by S/2 in regimes 1-2 and by b1 + b2 + b3 in regime 3, the running
+# sums of the six pair probabilities (in PAIR_INDEX_COLUMNS order) are
 #   0, max(2 b1 + b3 - b4, 0) / 4, b1,
 #   b1 + max(min(2 b2 + b3 - b4, 2 (b1 + b2 + b3 - b4)), 0) / 4, b1 + b2
-# in every regime: the leading 0 excludes the pair (1,2) everywhere, the
-# first clip the pair (1,3) outside regime 1 and the second clip the pair
-# (2,3) in regime 3. Comparing u times the scale with these sums picks the
-# pair with no division by S or by b1 + b2 + b3.
+# in every regime, and the scale itself: the leading 0 excludes the pair
+# (1,2) everywhere, the first clip the pair (1,3) outside regime 1 and the
+# second clip the pair (2,3) in regime 3. The sampler compares u times the
+# scale with these sums, with no division by S or by b1 + b2 + b3; the
+# pair probabilities are their differences over the scale and the
+# marginals min(b_k / scale, 1).
 
 # Sorted-position pairs in column order.
 _PAIR_FIRST = np.array([0, 0, 0, 1, 1, 2])
@@ -289,87 +302,9 @@ PAIR_INDEX_COLUMNS: tuple[tuple[int, int], ...] = tuple(
 _PAIR_BITS = ((1 << _PAIR_FIRST) | (1 << _PAIR_SECOND)).astype(np.uint8)
 # Columns of the pairs (k, 3) that join the max with one of the zeros.
 _THREE_ZERO_COLUMNS = np.array([2, 4, 5], dtype=np.uint8)
-
-
-def _exact24_pair_table_sorted(b: np.ndarray) -> np.ndarray:
-    """Pair probabilities (columns = PAIR_INDEX_COLUMNS) on sorted magnitudes.
-
-    The reference form of the exact distribution, behind exact24_pair_probs.
-    Branchless over the three regimes: every column is a regime-selected
-    blend computed with precomputed reciprocals. The sampler does not use
-    the table; it draws from the same distribution through the running
-    sums given above.
-    """
-    b1, b2, b3, b4 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-    total = b.sum(axis=1)
-    small = b1 + b2 + b3
-    regime1 = b4 <= 2.0 * b1 + b3
-    regime3 = ~regime1 & (b4 > small)
-    regime2 = ~regime1 & ~regime3
-
-    table = np.zeros((b.shape[0], 6))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        inv_s = 1.0 / total
-        inv_sm = 1.0 / small
-        half_inv_s = 0.5 * inv_s
-        table[:, 1] = np.where(regime1, (2.0 * b1 + b3 - b4) * half_inv_s, 0.0)
-        table[:, 2] = np.where(
-            regime1,
-            (2.0 * b1 - b3 + b4) * half_inv_s,
-            np.where(regime2, 2.0 * b1 * inv_s, b1 * inv_sm),
-        )
-        table[:, 3] = np.where(
-            regime1,
-            (2.0 * b2 + b3 - b4) * half_inv_s,
-            np.where(regime2, (small - b4) * inv_s, 0.0),
-        )
-        table[:, 4] = np.where(
-            regime1,
-            (2.0 * b2 - b3 + b4) * half_inv_s,
-            np.where(regime2, (b2 + b4 - b1 - b3) * inv_s, b2 * inv_sm),
-        )
-        table[:, 5] = np.where(regime3, b3 * inv_sm, (b3 + b4 - b1 - b2) * inv_s)
-
-    # Degenerate blocks: a zero denominator means ties among zeros, which
-    # are resolved uniformly.
-    all_zero = total == 0.0
-    if np.any(all_zero):
-        table[all_zero] = 1.0 / 6.0
-    three_zero = regime3 & (small == 0.0) & ~all_zero
-    if np.any(three_zero):
-        table[three_zero] = 0.0
-        table[np.ix_(three_zero.nonzero()[0], [2, 4, 5])] = 1.0 / 3.0
-
-    # Boundary arithmetic can produce tiny negatives; clip and renormalize.
-    np.clip(table, 0.0, None, out=table)
-    table /= table.sum(axis=1, keepdims=True)
-    return table
-
-
-def _exact24_marginals_sorted(b: np.ndarray) -> np.ndarray:
-    """Inclusion probability of each sorted position under the exact sampler."""
-    total = b.sum(axis=1)
-    small = b[:, 0] + b[:, 1] + b[:, 2]
-    regime3 = b[:, 3] > small
-    with np.errstate(invalid="ignore", divide="ignore"):
-        probs = 2.0 * b / total[:, None]
-        if np.any(regime3):
-            p3 = b[regime3] / small[regime3, None]
-            p3[:, 3] = 1.0
-            probs[regime3] = p3
-    all_zero = total == 0.0
-    if np.any(all_zero):
-        probs[all_zero] = 0.5
-    three_zero = regime3 & (small == 0.0) & ~all_zero
-    if np.any(three_zero):
-        probs[three_zero] = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 1.0)
-    return probs
-
-
-def _sort_by_magnitude(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mags = np.abs(values)
-    order = np.argsort(mags, axis=1, kind="stable")
-    return order, np.take_along_axis(mags, order, axis=1)
+# Per pair column, the positions it keeps; per position, the other three.
+_PAIR_KEEP = (_PAIR_BITS[:, None] >> np.arange(4) & 1).astype(bool)
+_OTHERS = 1.0 - np.eye(4)
 
 
 def _sort4(mags_t: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -393,6 +328,26 @@ def _sort4(mags_t: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return (b1, b2, b3, b4), ranks
 
 
+def _exact24_sums(mags_t: np.ndarray, check: bool = False):
+    """(ranks, b4, scale, running sums, all-zero blocks or None, blocks
+    with three zeros) of (4, n) magnitude rows, as in the comment above;
+    the four running sums after the leading 0 are scaled like ``scale``,
+    which is the last one. With ``check``, a block whose largest
+    magnitude b4 is out of range raises before any sum can overflow."""
+    (b1, b2, b3, b4), ranks = _sort4(mags_t)
+    odd = (b4 < _LOW) | (b4 >= _HIGH) if check else b4 == 0.0
+    all_zero = None
+    if np.any(odd):
+        all_zero = b4 == 0.0 if check else odd
+        if check and np.count_nonzero(all_zero) < np.count_nonzero(odd):
+            raise _OutOfRange(_OUT_OF_RANGE)
+    small = b1 + b2 + b3
+    scale = np.where(b4 > small, small, 0.5 * (small + b4))
+    middle = np.maximum(np.minimum(2.0 * b2 + b3 - b4, 2.0 * (small - b4)), 0.0)
+    sums = (0.25 * np.maximum(2.0 * b1 + b3 - b4, 0.0), b1, b1 + 0.25 * middle, b1 + b2)
+    return ranks, b4, scale, sums, all_zero, (small == 0.0) & (b4 > 0.0)
+
+
 def prune_mvue24_exact_array(
     values: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -402,29 +357,21 @@ def prune_mvue24_exact_array(
     closed forms of the comment above. Works on contiguous (4, n) rows,
     one numpy pass per step.
     """
+    check = np.asarray(values).dtype == np.float64
     values = _block_matrix(values, 4)
-    (b1, b2, b3, b4), ranks = _sort4(_magnitude_rows(values))
-    small = b1 + b2 + b3
-    total = small + b4
-    regime3 = b4 > small
-    scale = np.where(regime3, small, 0.5 * total)
-
+    ranks, b4, scale, sums, all_zero, three_zero = _exact24_sums(_magnitude_rows(values), check)
     x = u * scale
     # Count the running sums at or below x; the leading 0 always is.
-    col = (x >= 0.25 * np.maximum(2.0 * b1 + b3 - b4, 0.0)).view(np.uint8) + 1
-    col += x >= b1
-    middle = np.maximum(np.minimum(2.0 * b2 + b3 - b4, 2.0 * (small - b4)), 0.0)
-    col += x >= b1 + 0.25 * middle
-    col += x >= b1 + b2
+    col = (x >= sums[0]).view(np.uint8) + 1
+    for running in sums[1:]:
+        col += x >= running
     # Degenerate blocks: ties among zeros are resolved uniformly.
-    all_zero = total == 0.0
-    if np.any(all_zero):
+    if all_zero is not None:
         col[all_zero] = (6.0 * u[all_zero]).astype(np.uint8)
-    three_zero = regime3 & (small == 0.0)
     if np.any(three_zero):
         col[three_zero] = _THREE_ZERO_COLUMNS[(3.0 * u[three_zero]).astype(np.intp)]
     # Free the draw's rows first: prune_array runs chunks side by side.
-    del b1, b2, b3, small, total, x, middle
+    del sums, all_zero, three_zero, x
 
     mask = np.empty(values.shape, dtype=bool)
     keep = mask.T
@@ -440,28 +387,47 @@ def prune_mvue24_exact_array(
     return out, mask
 
 
+def _exact24_marginal_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(4, n) inclusion probabilities of in-range blocks, and their scales."""
+    mags_t = _magnitude_rows(values)
+    _, _, scale, _, all_zero, three_zero = _exact24_sums(mags_t)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        probs = np.minimum(mags_t / scale, 1.0)
+    # Degenerate blocks: ties among zeros are resolved uniformly.
+    if all_zero is not None:
+        probs[:, all_zero] = 0.5
+    probs[:, three_zero] = np.where(mags_t[:, three_zero] > 0.0, 1.0, 1.0 / 3.0)
+    return probs, scale
+
+
 def exact24_marginal_probs(values: np.ndarray) -> np.ndarray:
     """Inclusion probability of each entry, in original order."""
-    values = _scale_safe(_block_matrix(values, 4))
-    order, b = _sort_by_magnitude(values)
-    sorted_probs = _exact24_marginals_sorted(b)
-    probs = np.empty_like(sorted_probs)
-    np.put_along_axis(probs, order, sorted_probs, axis=1)
-    return probs
+    probs, _ = _exact24_marginal_rows(_in_range(_block_matrix(values, 4))[0])
+    return np.ascontiguousarray(probs.T)
+
+
+def _exact24_deviation(values: np.ndarray) -> np.ndarray:
+    """q |a| / p per entry: q times the block's scale, the magnitude of
+    every survivor with p < 1, at the block's own scale."""
+    scaled, exponent = _in_range(values)
+    probs, scale = _exact24_marginal_rows(scaled)
+    return _unscale(((1.0 - probs) * scale).T, exponent)
 
 
 def exact24_pair_probs(values: np.ndarray) -> np.ndarray:
     """Probability of keeping each index pair, columns PAIR_INDEX_COLUMNS."""
-    values = _scale_safe(_block_matrix(values, 4))
-    order, b = _sort_by_magnitude(values)
-    table = _exact24_pair_table_sorted(b)
-    rows = np.arange(values.shape[0])[:, None]
-    out = np.zeros_like(table)
-    for col in range(6):
-        oi = order[:, _PAIR_FIRST[col]]
-        oj = order[:, _PAIR_SECOND[col]]
-        np.add.at(out, (rows[:, 0], _PAIR_COLUMN[oi, oj]), table[:, col])
-    return out
+    mags_t = _magnitude_rows(_in_range(_block_matrix(values, 4))[0])
+    ranks, _, scale, sums, all_zero, three_zero = _exact24_sums(mags_t)
+    zero = np.zeros_like(scale)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        table = np.diff(np.stack((zero, zero, *sums, scale)), axis=0) / scale
+    if all_zero is not None:
+        table[:, all_zero] = 1.0 / 6.0
+    table[:, three_zero] = 0.0
+    table[np.ix_(_THREE_ZERO_COLUMNS, three_zero.nonzero()[0])] = 1.0 / 3.0
+    # Index pair (i, j) is the sorted pair of their ranks.
+    columns = _PAIR_COLUMN[ranks[_PAIR_FIRST], ranks[_PAIR_SECOND]]
+    return np.ascontiguousarray(np.take_along_axis(table, columns, axis=0).T)
 
 
 # ---------------------------------------------------------------------------
@@ -506,41 +472,38 @@ def _draw_by_running_sums(
     return index == _POSITIONS
 
 
-def _approx24_exclusion_rows(mags_t: np.ndarray) -> np.ndarray:
+def _approx24_exclusion_rows(mags_t: np.ndarray, check: bool = False) -> np.ndarray:
     """Exclusion probabilities of (4, n) magnitude rows, written over them
-    to save memory; an all-zero column, which only the sampler passes,
-    gets 2/3 per entry."""
+    to save memory. With ``check``, blocks out of range raise."""
     m0, m1, m2, m3 = mags_t
-    # Added left to right, the order of a row sum.
-    total = m0 + m1 + m2 + m3
-    ps01 = m0 + m1
-    ps02 = m0 + m2
-    ps03 = m0 + m3
-    ps12 = m1 + m2
-    ps13 = m1 + m3
-    ps23 = m2 + m3
-    # Mass remaining after a first draw of k, formed by addition only.
-    rest0 = m1 + ps23
-    rest1 = m0 + ps23
-    rest2 = m3 + ps01
-    rest3 = m2 + ps01
-    degenerate = (rest0 == 0.0) | (rest1 == 0.0) | (rest2 == 0.0) | (rest3 == 0.0)
-    # One entry holds the whole mass: it is always drawn first and the
-    # partner is uniform over the three zero entries.
-    fill = np.where(mags_t[:, degenerate] > 0.0, 0.0, 2.0 / 3.0) if np.any(degenerate) else None
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w0 = np.divide(m0, rest0, out=rest0)
-        w1 = np.divide(m1, rest1, out=rest1)
-        w2 = np.divide(m2, rest2, out=rest2)
-        w3 = np.divide(m3, rest3, out=rest3)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        # Added left to right, the order of a row sum.
+        total = m0 + m1 + m2 + m3
+        if check:
+            _check_total(total)
+        ps01 = m0 + m1
+        ps02 = m0 + m2
+        ps03 = m0 + m3
+        ps12 = m1 + m2
+        ps13 = m1 + m3
+        ps23 = m2 + m3
+        # Mass remaining after a first draw of k, formed by addition only.
+        w0 = np.divide(m0, m1 + ps23)
+        w1 = np.divide(m1, m0 + ps23)
+        w2 = np.divide(m2, m3 + ps01)
+        w3 = np.divide(m3, m2 + ps01)
+        # Where one entry holds the whole mass, or all but a share that
+        # m / rest overflows on, the pair probabilities give the column.
+        odd = ~(np.isfinite(w0) & np.isfinite(w1) & np.isfinite(w2) & np.isfinite(w3))
+        odd_mags = mags_t[:, odd].T if np.any(odd) else None
         # Divide by the total: its reciprocal overflows for subnormal totals.
         np.divide(w1 * ps23 + w2 * ps13 + w3 * ps12, total, out=m0)
         np.divide(w0 * ps23 + w2 * ps03 + w3 * ps02, total, out=m1)
         np.divide(w0 * ps13 + w1 * ps03 + w3 * ps01, total, out=m2)
         np.divide(w0 * ps12 + w1 * ps02 + w2 * ps01, total, out=m3)
     probs = np.minimum(mags_t, 1.0, out=mags_t)
-    if fill is not None:
-        probs[:, degenerate] = fill
+    if odd_mags is not None:
+        probs[:, odd] = (_approx24_pairs(odd_mags) @ ~_PAIR_KEEP).T
     return probs
 
 
@@ -555,55 +518,49 @@ def approx24_exclusion_probs(values: np.ndarray) -> np.ndarray:
     around 1e-12) keeps full relative precision where 1 - inclusion would
     be pure rounding noise.
     """
-    mags_t = _magnitude_rows(_scale_safe(_block_matrix(values, 4)))
-    if np.any(mags_t.sum(axis=0) == 0.0):
-        raise ValueError("inclusion probabilities are undefined for an all-zero block")
+    mags_t = _magnitude_rows(_in_range(_block_matrix(values, 4))[0])
     return np.ascontiguousarray(_approx24_exclusion_rows(mags_t).T)
 
 
-def approx24_inclusion_probs(values: np.ndarray) -> np.ndarray:
-    """Inclusion probability of each entry under the sequential sampler.
-
-    Equals |a_i|/S plus the chance of surviving the second draw after any
-    other first pick; computed as 1 minus the exclusion probability. The
-    four probabilities sum to 2 exactly.
-    """
-    return 1.0 - approx24_exclusion_probs(values)
+# Per position, the other three.
+_OTHER_POSITIONS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
-def approx24_variance_array(values: np.ndarray) -> np.ndarray:
-    """Total variance of the sequential 2:4 estimator per block.
-
-    Uses sum_i a_i^2 * q_i / (1 - q_i) on the exclusion probabilities,
-    which stays accurate when an entry dominates its block and its
-    variance contribution a_i^2 * q_i is far below a_i^2 / p_i.
-    """
-    values = _block_matrix(values, 4)
-    q = approx24_exclusion_probs(values)
-    sq = values * values
-    nonzero = sq > 0.0
-    if np.any(nonzero & (q >= 1.0)):
-        raise ValueError("zero inclusion probability on a nonzero entry")
+def _approx24_deviation(values: np.ndarray) -> np.ndarray:
+    """q |a| / p per entry, at the block's own scale. The survivor |a| / p
+    is |a| / (1 - q) while q < 1. Where p rounds to 0 it is the ratio of
+    sums S / (1 + sum_{k != i} w_k), w_k = |a_k| / (S - |a_k|), since
+    p_i = |a_i| (1 + sum_{k != i} w_k) / S: entry i is drawn first, or
+    second after some k."""
+    scaled, exponent = _in_range(values)
+    mags_t = _magnitude_rows(scaled)
+    q = _approx24_exclusion_rows(mags_t.copy())
     with np.errstate(invalid="ignore", divide="ignore"):
-        terms = np.where(nonzero, sq * q / (1.0 - q), 0.0)
-    return terms.sum(axis=1)
+        w = mags_t / (_OTHERS @ mags_t)
+        rare = mags_t.sum(axis=0) / (1.0 + w[_OTHER_POSITIONS].sum(axis=1))
+        survivor = np.where(q < 1.0, mags_t / (1.0 - q), rare)
+    return _unscale((q * survivor).T, exponent)
+
+
+def _approx24_pairs(mags: np.ndarray) -> np.ndarray:
+    """Pair probabilities of (n, 4) magnitudes, columns PAIR_INDEX_COLUMNS:
+    either entry drawn first, then the other, with the mass left after a
+    first draw formed by addition. A first draw that holds the whole mass
+    leaves a uniform partner; an all-zero block draws its pairs uniformly."""
+    total = mags.sum(axis=1, keepdims=True)
+    rest = mags @ _OTHERS
+    first, second = mags[:, _PAIR_FIRST], mags[:, _PAIR_SECOND]
+    rest_first, rest_second = rest[:, _PAIR_FIRST], rest[:, _PAIR_SECOND]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        second_after_first = np.where(rest_first > 0.0, second / rest_first, 1.0 / 3.0)
+        first_after_second = np.where(rest_second > 0.0, first / rest_second, 1.0 / 3.0)
+        pairs = (first / total) * second_after_first + (second / total) * first_after_second
+    return np.where(total > 0.0, pairs, 1.0 / 6.0)
 
 
 def approx24_pair_probs(values: np.ndarray) -> np.ndarray:
     """Pair probabilities for the sequential sampler, columns PAIR_INDEX_COLUMNS."""
-    values = _scale_safe(_block_matrix(values, 4))
-    mags = np.abs(values)
-    total = mags.sum(axis=1)
-    if np.any(total == 0.0):
-        raise ValueError("pair probabilities are undefined for an all-zero block")
-    out = np.zeros((values.shape[0], 6))
-    rest = total[:, None] - mags
-    for col, (i, j) in enumerate(PAIR_INDEX_COLUMNS):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            q_j_after_i = np.where(rest[:, i] > 0.0, mags[:, j] / rest[:, i], 1.0 / 3.0)
-            q_i_after_j = np.where(rest[:, j] > 0.0, mags[:, i] / rest[:, j], 1.0 / 3.0)
-        out[:, col] = (mags[:, i] / total) * q_j_after_i + (mags[:, j] / total) * q_i_after_j
-    return out
+    return _approx24_pairs(np.abs(_in_range(_block_matrix(values, 4))[0]))
 
 
 def prune_mvue24_approx_array(
@@ -619,7 +576,7 @@ def prune_mvue24_approx_array(
     # first pick holds the whole mass, the partner is uniform over the rest.
     first = _draw_by_running_sums(mags_t, 1.0, u[:, 0])
     second = _draw_by_running_sums(mags_t * ~first, ~first, u[:, 1])
-    survivors = _approx24_exclusion_rows(mags_t)
+    survivors = _approx24_exclusion_rows(mags_t, check=values.dtype == np.float64)
     np.subtract(1.0, survivors, out=survivors)
 
     out = np.empty_like(values, dtype=np.float64)
@@ -633,24 +590,124 @@ def prune_mvue24_approx_array(
 
 
 # ---------------------------------------------------------------------------
-# Variance helpers
+# Method records
 
 
-def variance_from_probs_array(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Total variance sum_i (a_i^2 / p_i - a_i^2) of an inverse-probability
-    rescaled estimator, per block. Uses 0^2/0 = 0; a zero probability on a
-    nonzero entry is an error."""
-    values = np.asarray(values, dtype=np.float64)
-    probs = np.asarray(probs, dtype=np.float64)
-    if values.shape != probs.shape:
-        raise ValueError("values and probs must have matching shapes")
-    sq = values * values
-    bad = (probs == 0.0) & (sq > 0.0)
-    if np.any(bad):
-        raise ValueError("zero inclusion probability on a nonzero entry")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        contrib = np.where(sq > 0.0, sq / np.where(probs > 0.0, probs, 1.0), 0.0)
-    return (contrib - sq).sum(axis=-1)
+@dataclass(frozen=True)
+class Method:
+    """One pruning method.
+
+    ``kernel(values, u, pattern)`` prunes (n, m) blocks with ``draws``
+    uniforms per block, u of shape (n, draws), and returns (values, keep
+    mask). ``probs(values, pattern)`` gives each entry's keep and drop
+    probabilities (p, q), formed separately so that neither loses
+    precision near 0. ``kept_set_probs(values)`` gives the kept-index sets
+    and, per block, their probabilities. With ``rescale`` survivors are
+    divided by p (Horvitz-Thompson), which makes the method unbiased.
+
+    Per entry, the expected squared error is a^2 q / p rescaled and a^2 q
+    raw; the variance is the same rescaled and a^2 p q raw. Greedy is the
+    raw case with q in {0, 1}. ``deviation(values, pattern)`` gives the
+    factor d of the error |a| d, that is q |a| / p (the survivor's excess
+    over |a|) rescaled and q |a| (the bias) raw, in a closed form that is
+    in range wherever d is. A product of p, q and |a| is not, where a
+    block spans more than float64's range: mvue12 on [1e-200, 1e200] has
+    q_1 = 1e-400, which rounds to 0, and d_1 = 1e-200.
+    """
+
+    pattern: SparsityPattern | None  # None: any pattern
+    draws: int
+    kernel: Callable
+    probs: Callable
+    kept_set_probs: Callable | None
+    rescale: bool
+    deviation: Callable
+
+
+_ONE_OF_TWO = ((0,), (1,))
+
+
+def _with_complement(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return probs, 1.0 - probs
+
+
+def _deviation12(values: np.ndarray, proportional: bool, rescale: bool) -> np.ndarray:
+    """d of 1:2 blocks. Magnitude-proportional: |a_j|, j the other entry,
+    rescaled, and |a_0| |a_1| / T raw, as the smaller magnitude times the
+    larger one's keep probability. Fair coin: |a| and |a| / 2."""
+    mags = np.abs(_block_matrix(values, 2))
+    if not proportional:
+        return mags if rescale else 0.5 * mags
+    if rescale:
+        return mags[:, ::-1]
+    share = _proportional12(values)[0].max(axis=1, keepdims=True)
+    return np.repeat(mags.min(axis=1, keepdims=True) * share, 2, axis=1)
+
+
+def _method12(proportional: bool, rescale: bool) -> Method:
+    probs = _proportional12 if proportional else (
+        lambda v: _with_complement(np.full(_block_matrix(v, 2).shape, 0.5)))
+    return Method(
+        PATTERN_12, 1,
+        lambda v, u, _: prune_mvue12_array(v, u[:, 0], proportional, rescale),
+        lambda v, _: probs(v),
+        lambda v: (_ONE_OF_TWO, probs(v)[0]),
+        rescale,
+        lambda v, _: _deviation12(v, proportional, rescale),
+    )
+
+
+METHODS: dict[EstimatorKind, Method] = {
+    EstimatorKind.GREEDY_MSE: Method(
+        None, 0,
+        lambda v, u, pattern: prune_greedy_array(v, pattern),
+        lambda v, pattern: _with_complement(greedy_mask_array(v, pattern).astype(np.float64)),
+        None,
+        False,
+        lambda v, pattern: np.where(greedy_mask_array(v, pattern), 0.0, np.abs(v)),
+    ),
+    EstimatorKind.MVUE12: _method12(proportional=True, rescale=True),
+    EstimatorKind.MVUE24_EXACT: Method(
+        PATTERN_24, 1,
+        lambda v, u, _: prune_mvue24_exact_array(v, u[:, 0]),
+        lambda v, _: _with_complement(exact24_marginal_probs(v)),
+        lambda v: (PAIR_INDEX_COLUMNS, exact24_pair_probs(v)),
+        True,
+        lambda v, _: _exact24_deviation(_block_matrix(v, 4)),
+    ),
+    EstimatorKind.MVUE24_APPROX: Method(
+        PATTERN_24, 2,
+        lambda v, u, _: prune_mvue24_approx_array(v, u),
+        lambda v, _: _with_complement(approx24_exclusion_probs(v))[::-1],
+        lambda v: (PAIR_INDEX_COLUMNS, approx24_pair_probs(v)),
+        True,
+        lambda v, _: _approx24_deviation(_block_matrix(v, 4)),
+    ),
+    EstimatorKind.BIASED12: _method12(proportional=True, rescale=False),
+    EstimatorKind.UNIFORM12: _method12(proportional=False, rescale=False),
+    EstimatorKind.UNBIASED_UNIFORM12: _method12(proportional=False, rescale=True),
+}
+
+
+def entry_moments(
+    values: np.ndarray, kind: EstimatorKind, pattern: SparsityPattern | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (E[(theta_i - a_i)^2], Var[theta_i]) per entry, from the
+    method's record: the error |a| d and the variance, the same rescaled
+    and d (|a| p) raw. Summed along the block axis the error is the
+    expected squared block error of one draw. Each is in range wherever
+    its true value and d are."""
+    method = METHODS[kind]
+    pattern = resolve_pattern(kind, pattern)
+    values = _block_matrix(values, pattern.m)
+    mags = np.abs(values)
+    deviation = method.deviation(values, pattern)
+    with np.errstate(invalid="ignore", over="ignore"):
+        error = np.where(mags > 0.0, mags * deviation, 0.0)
+        if method.rescale:
+            return error, error
+        p, _ = method.probs(values, pattern)
+        return error, np.where(mags > 0.0, deviation * (mags * p), 0.0)
 
 
 def elementwise_variance_array(values: np.ndarray, kind: EstimatorKind) -> np.ndarray:
@@ -662,42 +719,22 @@ def elementwise_variance_array(values: np.ndarray, kind: EstimatorKind) -> np.nd
     """
     if not kind.is_stochastic:
         raise ValueError(f"method {kind.value!r} is deterministic")
-    values = _block_matrix(values, kind.required_pattern.m)
-    sq = values * values
-    if kind is EstimatorKind.MVUE12:
-        # theta_i is sign * S with probability |a_i| / S, so
-        # Var = |a_i| S - a_i^2 = |a_0 a_1| for both entries.
-        return np.abs(values[:, :1] * values[:, 1:]) * np.ones((1, 2))
-    if kind is EstimatorKind.BIASED12:
-        p = mvue12_selection_probs(values)
-        return sq * p * (1.0 - p)
-    if kind is EstimatorKind.UNIFORM12:
-        return 0.25 * sq
-    if kind is EstimatorKind.UNBIASED_UNIFORM12:
-        return sq
-    if kind is EstimatorKind.MVUE24_APPROX:
-        q = approx24_exclusion_probs(values)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(sq > 0.0, sq * q / (1.0 - q), 0.0)
-    if kind is EstimatorKind.MVUE24_EXACT:
-        p = exact24_marginal_probs(values)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(sq > 0.0, sq * (1.0 - p) / np.where(p > 0.0, p, 1.0), 0.0)
-    raise ValueError(f"unhandled method {kind}")
+    return entry_moments(values, kind)[1]
+
+
+def mvue12_variance_array(values: np.ndarray) -> np.ndarray:
+    """Total estimator variance per 1:2 block: 2 |a0| |a1|."""
+    return elementwise_variance_array(values, EstimatorKind.MVUE12).sum(axis=1)
+
+
+def approx24_variance_array(values: np.ndarray) -> np.ndarray:
+    """Total variance of the sequential 2:4 estimator per block."""
+    return entry_moments(values, EstimatorKind.MVUE24_APPROX)[0].sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 
-# Uniforms per block and kernel of each stochastic method.
-_SAMPLERS = {
-    EstimatorKind.MVUE12: (1, lambda v, u: prune_mvue12_array(v, u[:, 0])),
-    EstimatorKind.MVUE24_EXACT: (1, lambda v, u: prune_mvue24_exact_array(v, u[:, 0])),
-    EstimatorKind.MVUE24_APPROX: (2, lambda v, u: prune_mvue24_approx_array(v, u)),
-    EstimatorKind.BIASED12: (1, lambda v, u: prune_biased12_array(v, u[:, 0])),
-    EstimatorKind.UNIFORM12: (1, lambda v, u: prune_uniform12_array(v, u[:, 0], False)),
-    EstimatorKind.UNBIASED_UNIFORM12: (1, lambda v, u: prune_uniform12_array(v, u[:, 0], True)),
-}
 # Blocks per kernel call in prune_array. Each chunk reuses the memory the
 # last one freed instead of faulting in fresh pages; a float64 temporary of
 # 16k 2:4 blocks is 512 KiB, and verify's 10k-draw calls take one chunk.
@@ -759,16 +796,26 @@ def prune_array(
     float32 or float64. The kernel runs on chunks of PRUNE_CHUNK_BLOCKS
     blocks, spread over the CPUs, whose uniforms the calling thread draws in
     chunk order: exactly the uniforms of one draw. Stochastic kernels widen
-    each chunk to float64.
+    each chunk to float64. A float64 block out of the kernels' range is
+    drawn at a power-of-two scale and its survivors scaled back, so every
+    draw is exact at every finite scale; a survivor beyond float64 is +-inf.
     """
     pattern = resolve_pattern(kind, pattern)
     values = _float_blocks(values, pattern.m)
-    if kind.is_stochastic and stream is None:
+    method = METHODS[kind]
+    if method.draws and stream is None:
         raise ValueError(f"method {kind.value!r} is stochastic and needs a RandomStream")
-    draws, kernel = _SAMPLERS.get(kind, (0, lambda v, u: prune_greedy_array(v, pattern)))
 
     def uniforms(rows: slice) -> np.ndarray | None:
-        return stream.uniforms((len(values[rows]), draws)) if draws else None
+        return stream.uniforms((len(values[rows]), method.draws)) if method.draws else None
+
+    def kernel(part: np.ndarray, u: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        try:
+            return method.kernel(part, u, pattern)
+        except _OutOfRange:
+            part, exponent = _in_range(part)
+            out, mask = method.kernel(part, u, pattern)
+            return _unscale(out, exponent), mask
 
     if len(values) <= PRUNE_CHUNK_BLOCKS:
         part, mask = kernel(values, uniforms(slice(None)))
@@ -812,79 +859,3 @@ def prune_tensor(
     out = merge_axis(blocks, tail, t.shape, t.block_axis)
     _coded_split(out, pattern.m, (blocks, tail.values))  # no second split
     return out
-
-
-# ---------------------------------------------------------------------------
-# Single-block API
-
-
-def _single(
-    block: Block,
-    kind: EstimatorKind,
-    pattern: SparsityPattern | None,
-    stream: RandomStream | None,
-) -> PrunedBlock:
-    pattern = resolve_pattern(kind, pattern)
-    if len(block) != pattern.m:
-        raise ValueError(f"block length {len(block)} does not match pattern {pattern}")
-    out, mask = prune_array(block.values[None, :], kind, pattern, stream)
-    return PrunedBlock(out[0], BlockMask(mask[0], pattern))
-
-
-def prune_greedy(block: Block, pattern: SparsityPattern) -> PrunedBlock:
-    """Deterministic minimum-MSE mask: keep the largest magnitudes."""
-    return _single(block, EstimatorKind.GREEDY_MSE, pattern, None)
-
-
-def prune_mvue12(block: Block, stream: RandomStream) -> PrunedBlock:
-    return _single(block, EstimatorKind.MVUE12, None, stream)
-
-
-def prune_mvue24_exact(block: Block, stream: RandomStream) -> PrunedBlock:
-    return _single(block, EstimatorKind.MVUE24_EXACT, None, stream)
-
-
-def prune_mvue24_approx(block: Block, stream: RandomStream) -> PrunedBlock:
-    return _single(block, EstimatorKind.MVUE24_APPROX, None, stream)
-
-
-def prune_baseline(block: Block, kind: EstimatorKind, stream: RandomStream) -> PrunedBlock:
-    if kind not in (
-        EstimatorKind.BIASED12,
-        EstimatorKind.UNIFORM12,
-        EstimatorKind.UNBIASED_UNIFORM12,
-    ):
-        raise ValueError(f"{kind.value!r} is not a 1:2 baseline method")
-    return _single(block, kind, None, stream)
-
-
-def analytic_variance_mvue12(block: Block) -> float:
-    """Variance 2 |a0 a1| of the optimal unbiased 1:2 estimator."""
-    if len(block) != 2:
-        raise ValueError("mvue12 variance is defined for length-2 blocks")
-    return float(mvue12_variance_array(block.values[None, :])[0])
-
-
-def marginal_probs_exact24(block: Block) -> np.ndarray:
-    if len(block) != 4:
-        raise ValueError("expected a length-4 block")
-    return exact24_marginal_probs(block.values[None, :])[0]
-
-
-def inclusion_probs_approx24(block: Block) -> np.ndarray:
-    if len(block) != 4:
-        raise ValueError("expected a length-4 block")
-    return approx24_inclusion_probs(block.values[None, :])[0]
-
-
-def analytic_variance_from_probs(block: Block, probs) -> float:
-    probs = np.asarray(probs, dtype=np.float64)
-    return float(variance_from_probs_array(block.values[None, :], probs[None, :])[0])
-
-
-def block_mse(original: Block, pruned: PrunedBlock) -> float:
-    """Squared error between a block and its pruned estimate."""
-    if len(original) != len(pruned):
-        raise ValueError("length mismatch")
-    diff = pruned.values - original.values
-    return float(np.dot(diff, diff))

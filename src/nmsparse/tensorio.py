@@ -28,10 +28,12 @@ blocking axis, the kept values plus one packed position-index field
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import stat
 import struct
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,16 +88,41 @@ def _float32_payload(values: np.ndarray) -> np.ndarray:
     return payload
 
 
+def _write_atomic(path, parts) -> None:
+    """Write the byte strings to a temporary file in path's directory, then
+    rename it over path, so a failed write leaves an existing file as it
+    was; the temporary file is removed if a write raises. A symlink's
+    target is replaced, and an existing file keeps its permission bits.
+    A path that exists and is not a regular file, such as a pipe, is
+    written directly."""
+    path = os.path.realpath(path)
+    exists = os.path.exists(path)
+    if exists and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            fh.writelines(parts)
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.writelines(parts)
+        if exists:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_tensor(path, t: BlockedTensor) -> None:
-    """Write a dense tensor file; payload is float32."""
+    """Write a dense tensor file, atomically; payload is float32."""
     payload = _float32_payload(t.data)
     header = struct.pack(
         "<4sHHH", TENSOR_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, len(t.shape)
     )
     header += struct.pack(f"<{len(t.shape)}Q", *t.shape)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    _write_atomic(path, (header, payload))
 
 
 def read_tensor(path) -> BlockedTensor:
@@ -259,6 +286,7 @@ def decompress(c: CompressedSparseTensor) -> BlockedTensor:
 
 
 def write_compressed(path, c: CompressedSparseTensor) -> None:
+    """Write a compressed tensor file, atomically."""
     header = struct.pack(
         "<4sHHHHHH",
         COMPRESSED_MAGIC,
@@ -270,11 +298,8 @@ def write_compressed(path, c: CompressedSparseTensor) -> None:
         len(c.shape),
     )
     header += struct.pack(f"<{len(c.shape)}Q", *c.shape)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(c.values, dtype="<f4"))
-        fh.write(np.ascontiguousarray(c.indices))
-        fh.write(np.ascontiguousarray(c.tail, dtype="<f4"))
+    _write_atomic(path, (header, np.ascontiguousarray(c.values, dtype="<f4"),
+                         np.ascontiguousarray(c.indices), np.ascontiguousarray(c.tail, dtype="<f4")))
 
 
 def read_compressed(path) -> CompressedSparseTensor:

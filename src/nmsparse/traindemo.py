@@ -12,17 +12,18 @@ it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SparsityPattern
+from .core import BlockedTensor, SparsityPattern, pattern_violations
 from .estimators import (
     PATTERN_24,
     EstimatorKind,
     elementwise_variance_array,
-    greedy_mask_array,
     prune_array,
     resolve_pattern,
 )
@@ -61,19 +62,15 @@ class MlpConfig:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.act_mask not in ACT_MODES:
             raise ValueError(f"act_mask must be one of {ACT_MODES}")
-        if self.grad_mask is not None:
-            if self.grad_mask is EstimatorKind.GREEDY_MSE:
-                raise ValueError("gradient masking requires a stochastic estimator")
-            pattern = resolve_pattern(self.grad_mask, self.grad_pattern)
-            if max(self.widths[1:]) < pattern.m:
-                raise ValueError(
-                    f"no layer is wide enough for gradient pattern {pattern}"
-                )
-        if self.act_mask != "none":
-            if min(self.widths[1:-1]) < self.act_pattern.m:
-                raise ValueError(
-                    f"hidden widths {self.widths[1:-1]} too small for activation pattern {self.act_pattern}"
-                )
+        if self.grad_mask is EstimatorKind.GREEDY_MSE:
+            raise ValueError("gradient masking requires a stochastic estimator")
+        pattern = self.resolved_grad_pattern()
+        if pattern is not None and max(self.widths[1:]) < pattern.m:
+            raise ValueError(f"no layer is wide enough for gradient pattern {pattern}")
+        if self.act_mask != "none" and min(self.widths[1:-1]) < self.act_pattern.m:
+            raise ValueError(
+                f"hidden widths {self.widths[1:-1]} too small for activation pattern {self.act_pattern}"
+            )
 
     def resolved_grad_pattern(self) -> SparsityPattern | None:
         if self.grad_mask is None:
@@ -121,58 +118,24 @@ def generate_dataset(
     return X[perm], y[perm]
 
 
-def _mask_rows_greedy(mat: np.ndarray, pattern: SparsityPattern) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy-mask whole blocks along the feature axis; the remainder
-    columns pass through unpruned with a True keep flag."""
+def _mask_rows(
+    mat: np.ndarray,
+    kind: EstimatorKind,
+    pattern: SparsityPattern,
+    stream: RandomStream | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Prune whole blocks along the feature axis with prune_array; the
+    remainder columns pass through unpruned with a True keep flag."""
     rows, cols = mat.shape
     whole = cols - cols % pattern.m
     keep = np.ones(mat.shape, dtype=bool)
     out = mat.copy()
     if whole:
         head = mat[:, :whole].reshape(-1, pattern.m)
-        mask = greedy_mask_array(head, pattern)
-        out[:, :whole] = np.where(mask, head, 0.0).reshape(rows, whole)
+        pruned, mask = prune_array(head, kind, pattern, stream)
+        out[:, :whole] = pruned.reshape(rows, whole)
         keep[:, :whole] = mask.reshape(rows, whole)
     return out, keep
-
-
-def relu_then_prune(acts: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
-    """ReLU followed by greedy block masking along the last axis."""
-    arr = np.asarray(acts, dtype=np.float64)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[None, :]
-    out, _ = _mask_rows_greedy(np.maximum(arr, 0.0), pattern)
-    return out[0] if squeeze else out
-
-
-def prune_only(acts: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
-    """Greedy block masking along the last axis without a nonlinearity."""
-    arr = np.asarray(acts, dtype=np.float64)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[None, :]
-    out, _ = _mask_rows_greedy(arr, pattern)
-    return out[0] if squeeze else out
-
-
-def _mask_grad_rows(
-    mat: np.ndarray,
-    kind: EstimatorKind,
-    pattern: SparsityPattern,
-    stream: RandomStream,
-) -> np.ndarray:
-    """Stochastically mask whole blocks along the feature axis; remainder
-    columns pass through unmasked."""
-    rows, cols = mat.shape
-    whole = cols - cols % pattern.m
-    if whole == 0:
-        return mat
-    out = mat.copy()
-    head = mat[:, :whole].reshape(-1, pattern.m)
-    pruned, _ = prune_array(head, kind, pattern, stream)
-    out[:, :whole] = pruned.reshape(rows, whole)
-    return out
 
 
 class _Mlp:
@@ -199,23 +162,17 @@ class _Mlp:
             z = h @ W + b
             if l == last:
                 return inputs, deriv_masks, z
-            if config.act_mask == "none":
-                h = np.maximum(z, 0.0)
-                deriv = z > 0.0
-            else:
-                if config.act_mask == "relu-greedy":
-                    h, keep = _mask_rows_greedy(np.maximum(z, 0.0), config.act_pattern)
-                    deriv = (z > 0.0) & keep
-                else:  # greedy on raw pre-activations
-                    h, keep = _mask_rows_greedy(z, config.act_pattern)
-                    deriv = keep
-                if config.validate_patterns:
-                    _assert_pattern(h, config.act_pattern)
+            relu = config.act_mask != "greedy"  # "greedy" masks the raw pre-activations
+            h, deriv = (np.maximum(z, 0.0), z > 0.0) if relu else (z, True)
+            if config.act_mask != "none":
+                h, keep = _mask_rows(h, EstimatorKind.GREEDY_MSE, config.act_pattern)
+                deriv = deriv & keep
+                if config.validate_patterns and pattern_violations(
+                    BlockedTensor.from_array(h), config.act_pattern
+                ):
+                    raise AssertionError(f"activation block violates pattern {config.act_pattern}")
             inputs.append(h)
             deriv_masks.append(deriv)
-
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        return self.forward(X)[2]
 
     def layer_gradients(self, X: np.ndarray, y: np.ndarray):
         """Unmasked pre-activation gradients per layer plus the loss."""
@@ -242,27 +199,44 @@ class _Mlp:
         for l in range(len(self.weights)):
             g = grads[l]
             if kind is not None:
-                g = _mask_grad_rows(g, kind, pattern, grad_streams[l])
+                g = _mask_rows(g, kind, pattern, grad_streams[l])[0]
             self.weights[l] -= config.lr * (inputs[l].T @ g)
             self.biases[l] -= config.lr * g.sum(axis=0)
 
     def accuracy(self, X: np.ndarray, y: np.ndarray) -> float:
-        return float((self.logits(X).argmax(axis=1) == y).mean())
+        return float((self.forward(X)[2].argmax(axis=1) == y).mean())
 
 
-def _assert_pattern(mat: np.ndarray, pattern: SparsityPattern) -> None:
-    cols = mat.shape[1] - mat.shape[1] % pattern.m
-    if cols == 0:
-        return
-    head = mat[:, :cols].reshape(-1, pattern.m)
-    counts = np.count_nonzero(head, axis=1)
-    if np.any(counts > pattern.kept):
-        raise AssertionError(f"activation block violates pattern {pattern}")
+def _training(config: MlpConfig, data: tuple[np.ndarray, np.ndarray] | None):
+    """Set-up and loop shared by train and masked_gradient_check.
 
+    Returns the model, the update function (inputs, grads) -> None that
+    masks the gradients, the validation split, and an endless iterator of
+    (epoch, step, last step of the epoch, X batch, y batch) over shuffled
+    training batches.
+    """
+    if data is None:
+        data = generate_dataset("two-moons", 1024, 0.1, config.seed)
+    X, y = np.asarray(data[0], dtype=np.float64), np.asarray(data[1], dtype=np.int64)
+    n_val = max(1, int(round(X.shape[0] * config.val_fraction)))
+    X_train, y_train = X[:-n_val], y[:-n_val]
 
-def _split_train_val(X, y, val_fraction):
-    n_val = max(1, int(round(X.shape[0] * val_fraction)))
-    return X[:-n_val], y[:-n_val], X[-n_val:], y[-n_val:]
+    master = RandomStream(config.seed, stream=11)
+    model = _Mlp(config, master.split(1))
+    shuffle_stream = master.split(2)
+    grad_streams = [master.split(100 + l) for l in range(len(config.widths) - 1)]
+
+    def batches():
+        n_train = X_train.shape[0]
+        for epoch in itertools.count():
+            perm = shuffle_stream.permutation(n_train)
+            for step, start in enumerate(range(0, n_train, config.batch_size)):
+                idx = perm[start : start + config.batch_size]
+                last = start + config.batch_size >= n_train
+                yield epoch, step, last, X_train[idx], y_train[idx]
+
+    update = functools.partial(model.apply_gradients, grad_streams=grad_streams)
+    return model, update, (X[-n_val:], y[-n_val:]), batches()
 
 
 def train(
@@ -273,38 +247,21 @@ def train(
     Identical configs (and data) produce identical record sequences.
     Raises FloatingPointError if the loss leaves the finite range.
     """
-    if data is None:
-        data = generate_dataset("two-moons", 1024, 0.1, config.seed)
-    X, y = np.asarray(data[0], dtype=np.float64), np.asarray(data[1], dtype=np.int64)
-    X_train, y_train, X_val, y_val = _split_train_val(X, y, config.val_fraction)
-
-    master = RandomStream(config.seed, stream=11)
-    model = _Mlp(config, master.split(1))
-    shuffle_stream = master.split(2)
-    grad_streams = [master.split(100 + l) for l in range(len(config.widths) - 1)]
-
+    model, update, (X_val, y_val), batches = _training(config, data)
     records = []
-    n_train = X_train.shape[0]
-    for epoch in range(config.epochs):
-        perm = shuffle_stream.permutation(n_train)
-        total_loss = 0.0
-        for start in range(0, n_train, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            inputs, grads, loss = model.layer_gradients(X_train[idx], y_train[idx])
-            if not math.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, step {start // config.batch_size}"
-                )
-            model.apply_gradients(inputs, grads, grad_streams)
-            total_loss += loss * idx.shape[0]
-        records.append(
-            TrainRecord(
-                epoch=epoch,
-                loss=total_loss / n_train,
-                val_acc=model.accuracy(X_val, y_val),
-            )
-        )
-    return records
+    total_loss, seen = 0.0, 0
+    for epoch, step, last, X_batch, y_batch in batches:
+        inputs, grads, loss = model.layer_gradients(X_batch, y_batch)
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"non-finite loss at epoch {epoch}, step {step}")
+        update(inputs, grads)
+        total_loss += loss * X_batch.shape[0]
+        seen += X_batch.shape[0]
+        if last:
+            records.append(TrainRecord(epoch, total_loss / seen, model.accuracy(X_val, y_val)))
+            total_loss, seen = 0.0, 0
+            if len(records) == config.epochs:
+                return records
 
 
 @dataclass(frozen=True)
@@ -350,31 +307,15 @@ def masked_gradient_check(
         raise ValueError("the gradient-mean check needs a stochastic estimator")
     pattern = resolve_pattern(kind, config.grad_pattern)
 
-    data = generate_dataset("two-moons", 1024, 0.1, config.seed)
-    X, y = data
-    X_train, y_train, _, _ = _split_train_val(X, y, config.val_fraction)
+    model, update, _, batches = _training(config, None)
+    for step, (*_, X_batch, y_batch) in enumerate(batches):
+        inputs, grads, _ = model.layer_gradients(X_batch, y_batch)
+        if step == at_step:
+            captured = grads[layer]
+            break
+        update(inputs, grads)
 
-    master = RandomStream(config.seed, stream=11)
-    model = _Mlp(config, master.split(1))
-    shuffle_stream = master.split(2)
-    grad_streams = [master.split(100 + l) for l in range(len(config.widths) - 1)]
-
-    n_train = X_train.shape[0]
-    captured = None
-    step = 0
-    while captured is None:
-        perm = shuffle_stream.permutation(n_train)
-        for start in range(0, n_train, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            inputs, grads, _ = model.layer_gradients(X_train[idx], y_train[idx])
-            if step == at_step:
-                captured = grads[layer]
-                break
-            model.apply_gradients(inputs, grads, grad_streams)
-            step += 1
-
-    rows, cols = captured.shape
-    whole = cols - cols % pattern.m
+    whole = captured.shape[1] - captured.shape[1] % pattern.m
     if whole == 0:
         raise ValueError(f"layer {layer} has no whole {pattern} blocks")
     blocks = captured[:, :whole].reshape(-1, pattern.m)
@@ -383,17 +324,14 @@ def masked_gradient_check(
     blocks = blocks[np.any(blocks != 0.0, axis=1)]
     if blocks.shape[0] == 0:
         raise ValueError(f"layer {layer} gradient is entirely zero at step {at_step}")
-    nb = blocks.shape[0]
 
     stream = RandomStream(seed, stream=13)
     total = np.zeros_like(blocks)
-    done = 0
-    while done < redraws:
+    for done in range(0, redraws, chunk):
         count = min(chunk, redraws - done)
-        tiled = np.broadcast_to(blocks, (count, nb, pattern.m)).reshape(-1, pattern.m)
+        tiled = np.broadcast_to(blocks, (count, *blocks.shape)).reshape(-1, pattern.m)
         pruned, _ = prune_array(tiled, kind, pattern, stream)
-        total += pruned.reshape(count, nb, pattern.m).sum(axis=0)
-        done += count
+        total += pruned.reshape(count, *blocks.shape).sum(axis=0)
 
     mean = total / redraws
     se = np.sqrt(elementwise_variance_array(blocks, kind) / redraws)

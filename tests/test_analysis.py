@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo harness, variance diagnostics, and scans."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from nmsparse.analysis import (
     refine_edge_axis,
     scan_summary,
     variance_gap_arrays,
-    variance_gap_d,
     verify_estimator,
 )
 from nmsparse.core import Block, SparsityPattern
@@ -142,18 +142,23 @@ class TestBruteForce:
             brute_force_min_mse_mask(Block([1.0, 2.0]), P24)
 
 
+def gap(block) -> tuple[float, float]:
+    d, check = variance_gap_arrays(np.abs([block]))
+    return float(d[0]), float(check[0])
+
+
 class TestVarianceGap:
     def test_known_block(self):
-        d, check = variance_gap_d(Block([1.0, 2.0, 3.0, 4.0]))
+        d, check = gap([1.0, 2.0, 3.0, 4.0])
         assert d == pytest.approx(-8.0, abs=1e-12)
         assert check == pytest.approx(-8.0, abs=1e-12)
 
     def test_equality_only_for_uniform_magnitudes(self):
-        d, _ = variance_gap_d(Block([1.0, -1.0, 1.0, 1.0]))
+        d, _ = gap([1.0, -1.0, 1.0, 1.0])
         assert d == pytest.approx(0.0, abs=1e-15)
-        d, _ = variance_gap_d(Block([2.0, 2.0, 2.0, 2.0]))
+        d, _ = gap([2.0, 2.0, 2.0, 2.0])
         assert d == pytest.approx(0.0, abs=1e-15)
-        d, _ = variance_gap_d(Block([1.0, 1.0, 1.0, 4.0]))
+        d, _ = gap([1.0, 1.0, 1.0, 4.0])
         assert d == pytest.approx(-4.5, abs=1e-12)
 
     def test_identity_on_random_blocks(self):
@@ -164,15 +169,15 @@ class TestVarianceGap:
         assert np.all(d <= 1e-9 * scale)
 
     def test_order_invariance(self):
-        d1, _ = variance_gap_d(Block([4.0, 1.0, 3.0, 2.0]))
-        d2, _ = variance_gap_d(Block([1.0, 2.0, 3.0, 4.0]))
+        d1, _ = gap([4.0, 1.0, 3.0, 2.0])
+        d2, _ = gap([1.0, 2.0, 3.0, 4.0])
         assert d1 == pytest.approx(d2, abs=1e-12)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             variance_gap_arrays(np.ones((3, 2)))
         with pytest.raises(ValueError):
-            variance_gap_d(Block([1.0, 2.0]))
+            variance_gap_arrays(np.ones(4))
 
 
 def reference_scan_csv(path, step: float, refine_edges: bool = False) -> ScanSummary:
@@ -392,15 +397,16 @@ class TestVerifyEstimator:
     def test_rare_kept_set_drawn_too_often_fails(self, monkeypatch):
         # The same two draws against a model that makes the pair 1,000
         # times rarer: the exact tail is about 8e-11, beyond 5 sigma.
-        kept_set_probs = analysis._kept_set_probs
+        kind = EstimatorKind.MVUE24_APPROX
+        method = estimators.METHODS[kind]
 
-        def rarer_pair(kind, values):
-            sets, probs = kept_set_probs(kind, values)
+        def rarer_pair(values):
+            sets, probs = method.kept_set_probs(values)
             probs = probs.copy()
             probs[:, sets.index((2, 3))] *= 1e-3
             return sets, probs
 
-        monkeypatch.setattr(analysis, "_kept_set_probs", rarer_pair)
+        monkeypatch.setitem(estimators.METHODS, kind, dataclasses.replace(method, kept_set_probs=rarer_pair))
         checks = self.verify_rare_pair_block(monkeypatch)
         assert [c.name for c in checks if not c.passed] == ["frequency"]
 

@@ -6,13 +6,10 @@ from nmsparse.core import (
     BlockMask,
     BlockedTensor,
     DenseTail,
-    PrunedBlock,
     SparsityPattern,
     merge_axis,
-    merge_blocks,
     pattern_violations,
     split_axis,
-    split_into_blocks,
 )
 from nmsparse.rng import RandomStream
 
@@ -54,13 +51,6 @@ class TestBlockTypes:
             BlockMask([True, True, True, False], p24)
         with pytest.raises(ValueError):
             BlockMask([True, False], p24)
-
-    def test_pruned_block_zero_placement(self):
-        p24 = SparsityPattern(2, 4)
-        mask = BlockMask([True, False, True, False], p24)
-        PrunedBlock([1.0, 0.0, -2.0, 0.0], mask)
-        with pytest.raises(ValueError):
-            PrunedBlock([1.0, 0.5, -2.0, 0.0], mask)
 
     def test_kept_indices(self):
         mask = BlockMask([False, True, False, True], SparsityPattern(2, 4))
@@ -113,29 +103,29 @@ class TestBlockedTensor:
 class TestSplitMerge:
     def test_even_split_counts(self):
         t = BlockedTensor.from_array(np.arange(24.0).reshape(2, 12))
-        blocks, tail = split_into_blocks(t, SparsityPattern(2, 4))
+        blocks, tail = split_axis(t, 4)
         assert len(blocks) == 6
         assert tail.is_empty and tail.remainder == 0
-        np.testing.assert_array_equal(blocks[0].values, [0.0, 1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(blocks[3].values, [12.0, 13.0, 14.0, 15.0])
+        np.testing.assert_array_equal(blocks[0], [0.0, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(blocks[3], [12.0, 13.0, 14.0, 15.0])
 
     def test_remainder_tail_carried_dense(self):
         t = BlockedTensor.from_array(np.arange(5.0)[None, :])
-        blocks, tail = split_into_blocks(t, SparsityPattern(2, 4))
+        blocks, tail = split_axis(t, 4)
         assert len(blocks) == 1
         assert tail.remainder == 1
         np.testing.assert_array_equal(tail.values, [[4.0]])
 
     def test_zero_length_axis(self):
         t = BlockedTensor.from_array(np.zeros((3, 0)))
-        blocks, tail = split_into_blocks(t, SparsityPattern(2, 4))
-        assert blocks == []
+        blocks, tail = split_axis(t, 4)
+        assert blocks.shape == (0, 4)
         assert tail.lanes == 3 and tail.remainder == 0
 
     def test_short_axis_all_tail(self):
         t = BlockedTensor.from_array(np.arange(6.0).reshape(2, 3))
-        blocks, tail = split_into_blocks(t, SparsityPattern(2, 4))
-        assert blocks == []
+        blocks, tail = split_axis(t, 4)
+        assert blocks.shape == (0, 4)
         assert tail.remainder == 3
 
     def test_split_rejects_non_finite(self):
@@ -159,12 +149,6 @@ class TestSplitMerge:
         blocked, tail = split_axis(t, m)
         back = merge_axis(blocked, tail, shape, axis)
         assert back == t
-
-    def test_merge_blocks_object_roundtrip(self):
-        t = BlockedTensor.from_array(np.arange(10.0).reshape(2, 5))
-        pattern = SparsityPattern(1, 2)
-        blocks, tail = split_into_blocks(t, pattern)
-        assert merge_blocks(blocks, tail, t.shape, t.block_axis) == t
 
     def test_merge_rejects_mismatched_counts(self):
         t = BlockedTensor.from_array(np.arange(8.0).reshape(2, 4))

@@ -6,6 +6,7 @@ construction (feasible marginals 2*b_k/S, or forced max plus proportional
 partner). Monte-Carlo checks run at the 5-sigma level with fixed seeds.
 """
 
+import dataclasses
 import itertools
 import os
 import signal
@@ -30,40 +31,30 @@ from nmsparse.core import (
     split_axis,
 )
 from nmsparse.estimators import (
+    METHODS,
     PAIR_INDEX_COLUMNS,
     PRUNE_CHUNK_BLOCKS,
     EstimatorKind,
-    _exact24_pair_table_sorted,
-    analytic_variance_from_probs,
-    analytic_variance_mvue12,
+    _PAIR_COLUMN,
+    _PAIR_FIRST,
+    _PAIR_SECOND,
     approx24_exclusion_probs,
-    approx24_inclusion_probs,
     approx24_pair_probs,
     approx24_variance_array,
-    block_mse,
     elementwise_variance_array,
     exact24_marginal_probs,
     exact24_pair_probs,
+    entry_moments,
     greedy_mask_array,
-    inclusion_probs_approx24,
-    marginal_probs_exact24,
     mvue12_selection_probs,
     mvue12_variance_array,
     prune_array,
-    prune_baseline,
-    prune_biased12_array,
-    prune_greedy,
     prune_greedy_array,
-    prune_mvue12,
     prune_mvue12_array,
-    prune_mvue24_approx,
     prune_mvue24_approx_array,
-    prune_mvue24_exact,
     prune_mvue24_exact_array,
     prune_tensor,
-    prune_uniform12_array,
     resolve_pattern,
-    variance_from_probs_array,
 )
 from nmsparse.rng import RandomStream
 from nmsparse.tensorio import compress, read_tensor, write_tensor
@@ -80,6 +71,20 @@ def mixed_blocks(count: int, m: int, seed: int) -> np.ndarray:
     mags = np.exp(stream.normals((count - count // 2, m), scale=2.0))
     signs = np.where(stream.uniforms((count - count // 2, m)) < 0.5, -1.0, 1.0)
     return np.concatenate([normal, mags * signs])
+
+
+def exact24_variance(values) -> np.ndarray:
+    return entry_moments(np.asarray(values), EstimatorKind.MVUE24_EXACT)[0].sum(axis=1)
+
+
+def approx24_inclusion(values) -> np.ndarray:
+    return 1.0 - approx24_exclusion_probs(np.asarray(values))
+
+
+def variance_from_probs(values, probs) -> np.ndarray:
+    """sum_i (a_i^2 / p_i - a_i^2), the textbook form, with 0^2 / 0 = 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(values != 0.0, values**2 / probs - values**2, 0.0).sum(axis=-1)
 
 
 def mc_draws(values_row: np.ndarray, kind: EstimatorKind, samples: int, seed: int):
@@ -203,11 +208,10 @@ class TestGreedy:
         smooth = stream.normals((60, pattern.m))
         coarse = stream.integers(-2, 3, (60, pattern.m)).astype(float)
         for row in np.concatenate([smooth, coarse]):
-            block = Block(row)
-            mask_oracle, mse_oracle = brute_force_min_mse_mask(block, pattern)
-            pruned = prune_greedy(block, pattern)
-            assert block_mse(block, pruned) == pytest.approx(mse_oracle, abs=1e-12)
-            np.testing.assert_array_equal(pruned.mask.kept, mask_oracle.kept)
+            mask_oracle, mse_oracle = brute_force_min_mse_mask(Block(row), pattern)
+            out, mask = prune_greedy_array(row[None, :], pattern)
+            assert np.sum((out[0] - row) ** 2) == pytest.approx(mse_oracle, abs=1e-12)
+            np.testing.assert_array_equal(mask[0], mask_oracle.kept)
 
 
 def reference_greedy_mask(values: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
@@ -285,7 +289,7 @@ class TestMvue12:
             se = out.std(axis=0, ddof=1) / np.sqrt(samples)
             assert np.all(np.abs(mean - row) <= 5 * se + 1e-12)
             mse = ((out - row) ** 2).sum(axis=1)
-            v = analytic_variance_mvue12(Block(row))
+            v = mvue12_variance_array(row[None, :])[0]
             assert abs(mse.mean() - v) <= 5 * mse.std(ddof=1) / np.sqrt(samples) + 1e-12
 
     def test_degenerate_blocks_deterministic(self):
@@ -308,9 +312,9 @@ class TestMvue12:
         np.testing.assert_allclose(scaled, base * 3.5, rtol=1e-13, atol=0)
 
     def test_analytic_variance_values(self):
-        assert analytic_variance_mvue12(Block([3.0, 1.0])) == 6.0
-        assert analytic_variance_mvue12(Block([-3.0, 1.0])) == 6.0
-        assert analytic_variance_mvue12(Block([5.0, 0.0])) == 0.0
+        np.testing.assert_array_equal(
+            mvue12_variance_array(np.array([[3.0, 1.0], [-3.0, 1.0], [5.0, 0.0]])), [6.0, 6.0, 0.0]
+        )
         np.testing.assert_array_equal(
             mvue12_variance_array(np.array([[2.0, 2.0], [-4.0, 0.5]])), [8.0, 4.0]
         )
@@ -361,7 +365,7 @@ class TestBaselines:
         assert np.allclose(v_mvue[equal], v_uu[equal])
         assert np.all(v_mvue[~equal] < v_uu[~equal])
         # Equality exactly at matched magnitudes.
-        assert analytic_variance_mvue12(Block([2.0, -2.0])) == 8.0 == 2.0 ** 2 + 2.0 ** 2
+        assert mvue12_variance_array(np.array([[2.0, -2.0]]))[0] == 8.0 == 2.0 ** 2 + 2.0 ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +382,7 @@ class TestExact24Tables:
         probs = pair_dict(np.array([1.0, 2.0, 3.0, 4.0]))
         for pair, want in ORACLE_1234_PAIRS.items():
             assert probs[pair] == pytest.approx(float(want), abs=1e-15)
-        marg = marginal_probs_exact24(Block([1.0, 2.0, 3.0, 4.0]))
+        marg = exact24_marginal_probs([[1.0, 2.0, 3.0, 4.0]])[0]
         np.testing.assert_allclose(marg, [float(f) for f in ORACLE_1234_MARGINALS], atol=1e-15)
 
     def test_boundary_regime1_regime2(self):
@@ -395,7 +399,7 @@ class TestExact24Tables:
         probs = pair_dict(np.array([1.0, 1.0, 1.0, 4.0]))
         for pair, want in ORACLE_1114_PAIRS.items():
             assert probs[pair] == pytest.approx(float(want), abs=1e-15)
-        marg = marginal_probs_exact24(Block([1.0, 1.0, 1.0, 4.0]))
+        marg = exact24_marginal_probs([[1.0, 1.0, 1.0, 4.0]])[0]
         np.testing.assert_allclose(marg, [float(f) for f in ORACLE_1114_MARGINALS], atol=1e-15)
 
     def test_regime2_interior_block(self):
@@ -448,11 +452,11 @@ class TestExact24Tables:
     def test_degenerate_two_zeros(self):
         probs = pair_dict(np.array([0.0, 3.0, 0.0, 4.0]))
         assert probs[(1, 3)] == pytest.approx(1.0, abs=1e-15)
-        marg = marginal_probs_exact24(Block([0.0, 3.0, 0.0, 4.0]))
+        marg = exact24_marginal_probs([[0.0, 3.0, 0.0, 4.0]])[0]
         np.testing.assert_allclose(marg, [0.0, 1.0, 0.0, 1.0], atol=1e-15)
 
     def test_degenerate_three_zeros_and_all_zero(self):
-        marg = marginal_probs_exact24(Block([0.0, 0.0, 7.0, 0.0]))
+        marg = exact24_marginal_probs([[0.0, 0.0, 7.0, 0.0]])[0]
         np.testing.assert_allclose(marg, [1 / 3, 1 / 3, 1.0, 1 / 3], atol=1e-15)
         table = pair_dict(np.zeros(4))
         for pair in PAIR_INDEX_COLUMNS:
@@ -503,7 +507,7 @@ class TestExact24Sampler:
             se = out.std(axis=0, ddof=1) / np.sqrt(samples)
             assert np.all(np.abs(mean - row) <= 5 * se + 1e-12)
             mse = ((out - row) ** 2).sum(axis=1)
-            v = analytic_variance_from_probs(Block(row), marginal_probs_exact24(Block(row)))
+            v = exact24_variance(row[None, :])[0]
             assert abs(mse.mean() - v) <= 5 * mse.std(ddof=1) / np.sqrt(samples) + 1e-9
 
     def test_variance_from_pair_enumeration_matches_marginal_formula(self):
@@ -511,7 +515,7 @@ class TestExact24Sampler:
         blocks = np.abs(mixed_blocks(200, 4, seed=44)) + 1e-6
         tables = exact24_pair_probs(blocks)
         marginals = exact24_marginal_probs(blocks)
-        v_marginal = variance_from_probs_array(blocks, marginals)
+        v_marginal = exact24_variance(blocks)
         v_pairs = np.zeros(len(blocks))
         for c, (i, j) in enumerate(PAIR_INDEX_COLUMNS):
             theta = np.zeros_like(blocks)
@@ -563,23 +567,21 @@ class TestApprox24:
     def test_inclusion_oracle_1234(self):
         want = oracle_eq17_inclusion([1, 2, 3, 4])
         assert [str(w) for w in want] == ["197/840", "139/315", "73/120", "451/630"]
-        got = inclusion_probs_approx24(Block([1.0, 2.0, 3.0, 4.0]))
+        got = approx24_inclusion([[1.0, 2.0, 3.0, 4.0]])[0]
         np.testing.assert_allclose(got, [float(w) for w in want], atol=1e-14)
         assert got.sum() == pytest.approx(2.0, abs=1e-12)
 
     def test_variance_oracle_1234(self):
         want = oracle_eq17_inclusion([1, 2, 3, 4])
         v = oracle_variance([1, 2, 3, 4], want)
-        got = analytic_variance_from_probs(
-            Block([1.0, 2.0, 3.0, 4.0]), inclusion_probs_approx24(Block([1.0, 2.0, 3.0, 4.0]))
-        )
+        got = approx24_variance_array(np.array([[1.0, 2.0, 3.0, 4.0]]))[0]
         assert got == pytest.approx(float(v), rel=1e-12)
         # Within 2x of the optimum (which is 20 for this block).
         assert 1.0 <= float(v) / 20.0 < 2.0
 
     def test_probs_sum_to_two_random(self):
         blocks = mixed_blocks(500, 4, seed=50)
-        probs = approx24_inclusion_probs(blocks)
+        probs = approx24_inclusion(blocks)
         np.testing.assert_allclose(probs.sum(axis=1), 2.0, atol=1e-12)
         pairs = approx24_pair_probs(blocks)
         np.testing.assert_allclose(pairs.sum(axis=1), 1.0, atol=1e-12)
@@ -589,14 +591,14 @@ class TestApprox24:
             np.testing.assert_allclose(pairs[:, cols].sum(axis=1), probs[:, i], atol=1e-12)
 
     def test_zero_entries_never_kept_when_mass_remains(self):
-        got = inclusion_probs_approx24(Block([0.0, 0.0, 1.0, 1.0]))
+        got = approx24_inclusion([[0.0, 0.0, 1.0, 1.0]])[0]
         np.testing.assert_array_equal(got, [0.0, 0.0, 1.0, 1.0])
         out, mask = mc_draws(np.array([0.0, 0.0, 1.0, 1.0]), EstimatorKind.MVUE24_APPROX, 2_000, seed=51)
         np.testing.assert_array_equal(mask[:, 2:], np.ones((2_000, 2), bool))
         np.testing.assert_allclose(out[:, 2:], 1.0, atol=1e-12)
 
     def test_single_nonzero_fallback(self):
-        got = inclusion_probs_approx24(Block([0.0, 0.0, 0.0, 2.0]))
+        got = approx24_inclusion([[0.0, 0.0, 0.0, 2.0]])[0]
         np.testing.assert_allclose(got, [1 / 3, 1 / 3, 1 / 3, 1.0], atol=1e-15)
         out, mask = mc_draws(np.array([0.0, 0.0, 0.0, 2.0]), EstimatorKind.MVUE24_APPROX, 30_000, seed=52)
         assert np.all(mask[:, 3])
@@ -605,12 +607,16 @@ class TestApprox24:
         se = np.sqrt((1 / 3) * (2 / 3) / 30_000)
         assert np.all(np.abs(partner_freq - 1 / 3) <= 5 * se)
 
-    def test_all_zero_probs_error_but_sampler_works(self):
-        with pytest.raises(ValueError):
-            inclusion_probs_approx24(Block([0.0, 0.0, 0.0, 0.0]))
-        out, mask = mc_draws(np.zeros(4), EstimatorKind.MVUE24_APPROX, 500, seed=53)
+    def test_all_zero_block_draws_uniform_pairs(self):
+        # The probabilities model the sampler's uniform draw of every pair.
+        np.testing.assert_array_equal(approx24_exclusion_probs(np.zeros((1, 4))), 0.5)
+        np.testing.assert_array_equal(approx24_pair_probs(np.zeros((1, 4))), 1.0 / 6.0)
+        out, mask = mc_draws(np.zeros(4), EstimatorKind.MVUE24_APPROX, 60_000, seed=53)
         np.testing.assert_array_equal(out, np.zeros_like(out))
         assert np.all(mask.sum(axis=1) == 2)
+        codes = mask @ (1 << np.arange(4))
+        freqs = [(codes == (1 << i) | (1 << j)).mean() for i, j in PAIR_INDEX_COLUMNS]
+        assert np.all(np.abs(np.array(freqs) - 1 / 6) <= 5 * np.sqrt((1 / 6) * (5 / 6) / 60_000))
 
     def test_unbiased_variance_and_frequencies_mc(self):
         blocks = mixed_blocks(40, 4, seed=54)
@@ -621,18 +627,16 @@ class TestApprox24:
             se = out.std(axis=0, ddof=1) / np.sqrt(samples)
             assert np.all(np.abs(mean - row) <= 5 * se + 1e-12)
             mse = ((out - row) ** 2).sum(axis=1)
-            v = analytic_variance_from_probs(
-                Block(row), inclusion_probs_approx24(Block(row))
-            )
+            v = approx24_variance_array(row[None, :])[0]
             assert abs(mse.mean() - v) <= 5 * mse.std(ddof=1) / np.sqrt(samples) + 1e-9
             freq = mask.mean(axis=0)
-            p = approx24_inclusion_probs(row[None, :])[0]
+            p = approx24_inclusion(row[None, :])[0]
             se_f = np.sqrt(p * (1 - p) / samples)
             assert np.all(np.abs(freq - p) <= 5 * se_f + 1e-12)
 
     def test_never_below_exact_variance(self):
         blocks = np.abs(mixed_blocks(2_000, 4, seed=55)) + 1e-9
-        v_exact = variance_from_probs_array(blocks, exact24_marginal_probs(blocks))
+        v_exact = exact24_variance(blocks)
         v_approx = approx24_variance_array(blocks)
         ratio = v_approx / v_exact
         assert np.all(ratio >= 1.0 - 1e-9)
@@ -651,7 +655,7 @@ class TestApprox24:
         for (i, j), p in zip(PAIR_INDEX_COLUMNS, approx24_pair_probs(unit[None, :])[0]):
             freq = (codes == (1 << i) | (1 << j)).mean()
             assert abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / samples), (i, j)
-        want = np.broadcast_to(row / approx24_inclusion_probs(unit[None, :])[0], out.shape)
+        want = np.broadcast_to(row / approx24_inclusion(unit[None, :])[0], out.shape)
         np.testing.assert_allclose(out[mask], want[mask], rtol=1e-9, atol=0.0)
 
     def test_dominant_entry_keeps_relative_precision(self):
@@ -666,9 +670,7 @@ class TestApprox24:
             assert got == pytest.approx(float(want), rel=1e-9)
             assert got > 0
             # The max entry alone carries half the variance at this corner.
-            v_exact = variance_from_probs_array(
-                np.array([mags]), exact24_marginal_probs(np.array([mags]))
-            )[0]
+            v_exact = exact24_variance([mags])[0]
             assert 1.99 < got / v_exact < 2.0
 
 
@@ -691,7 +693,9 @@ def inverse_cdf_sample(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 def reference_exact24(values: np.ndarray, u: np.ndarray):
     mags = np.abs(values)
     order = np.argsort(mags, axis=1, kind="stable")
-    table = _exact24_pair_table_sorted(np.take_along_axis(mags, order, axis=1))
+    # The pair table in sorted-magnitude column order.
+    columns = _PAIR_COLUMN[order[:, _PAIR_FIRST], order[:, _PAIR_SECOND]]
+    table = np.take_along_axis(exact24_pair_probs(values), columns, axis=1)
     col = inverse_cdf_sample(table, u)
     rows = np.arange(len(values))
     mask = np.zeros(values.shape, dtype=bool)
@@ -722,7 +726,7 @@ def reference_approx24(values: np.ndarray, u: np.ndarray):
     mask[rows, second] = True
     probs = np.full(values.shape, 0.5)
     nonzero = total[:, 0] > 0.0
-    probs[nonzero] = approx24_inclusion_probs(values[nonzero])
+    probs[nonzero] = approx24_inclusion(values[nonzero])
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(mask & (values != 0.0), values / probs, 0.0)
     return out, mask
@@ -811,7 +815,7 @@ class TestElementwiseVariance:
         blocks4 = mixed_blocks(300, 4, seed=66)
         np.testing.assert_allclose(
             elementwise_variance_array(blocks4, EstimatorKind.MVUE24_EXACT).sum(axis=1),
-            variance_from_probs_array(blocks4, exact24_marginal_probs(blocks4)),
+            variance_from_probs(blocks4, exact24_marginal_probs(blocks4)),
             rtol=1e-9,
         )
         np.testing.assert_allclose(
@@ -832,20 +836,37 @@ class TestElementwiseVariance:
 
 
 class TestVarianceFromProbs:
-    def test_zero_prob_on_zero_entry_is_fine(self):
-        v = variance_from_probs_array(np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]]))
-        assert v[0] == 0.0
-
-    def test_zero_prob_on_nonzero_entry_raises(self):
-        with pytest.raises(ValueError):
-            variance_from_probs_array(np.array([[2.0, 1.0]]), np.array([[0.0, 1.0]]))
-
     def test_matches_manual_sum(self):
-        v = analytic_variance_from_probs(
-            Block([1.0, 2.0, 3.0, 4.0]), np.array([0.2, 0.4, 0.6, 0.8])
-        )
+        v = exact24_variance([[1.0, 2.0, 3.0, 4.0]])[0]
         manual = sum(a * a / p - a * a for a, p in [(1, 0.2), (2, 0.4), (3, 0.6), (4, 0.8)])
         assert v == pytest.approx(manual, rel=1e-13)
+
+    def test_error_keeps_tiny_entries(self):
+        # a^2 alone underflows for 1e-200; the error a^2 q / p is 5e-200.
+        err = entry_moments(np.array([[1e-200, 5.0]]), EstimatorKind.MVUE12)[0]
+        assert err[0, 0] == pytest.approx(5e-200, rel=1e-15)
+        var = elementwise_variance_array(np.array([[1e-12, 1.0]]), EstimatorKind.MVUE12)
+        np.testing.assert_allclose(var, [[1e-12, 1e-12]], rtol=4.5e-16)
+
+    def test_blocks_wider_than_float64_range(self):
+        # p_0 = 1e-400 and q_1 = 1e-400 are below float64's range; the
+        # variances are not.
+        wide = np.array([[1e-200, -1e200]])
+        np.testing.assert_array_equal(
+            elementwise_variance_array(wide, EstimatorKind.MVUE12), [[1.0, 1.0]]
+        )
+        assert mvue12_variance_array(wide)[0] == 2.0
+        np.testing.assert_allclose(
+            elementwise_variance_array(wide, EstimatorKind.BIASED12), [[0.0, 1.0]], rtol=1e-15
+        )
+        # 2:4: p_0 is about 1e-400. Exact: |a_0| times the scale S / 2;
+        # approx: |a_0| S / (1 + 3 / 2); the others a^2 (1/3) / (2/3).
+        wide = np.array([[1e-300, 1e100, -1e100, 1e100]])
+        for kind, first in ((EstimatorKind.MVUE24_EXACT, 1.5e-200),
+                            (EstimatorKind.MVUE24_APPROX, 1.2e-200)):
+            error, var = entry_moments(wide, kind)
+            np.testing.assert_allclose(error, [[first, 5e199, 5e199, 5e199]], rtol=1e-14)
+            np.testing.assert_array_equal(var, error)
 
 
 class TestDispatch:
@@ -880,38 +901,6 @@ class TestDispatch:
             assert np.all(mask.sum(axis=1) == pattern.kept)
             assert np.all(out[~mask] == 0.0)
             assert np.all(np.isfinite(out))
-
-
-class TestBlockApi:
-    def test_single_block_wrappers(self):
-        s = RandomStream(70)
-        pb = prune_mvue12(Block([3.0, 1.0]), s)
-        assert sorted(np.abs(pb.values)) == [0.0, 4.0]
-        pb = prune_mvue24_exact(Block([1.0, 2.0, 3.0, 4.0]), s)
-        assert np.count_nonzero(pb.values) == 2
-        pb = prune_mvue24_approx(Block([1.0, 2.0, 3.0, 4.0]), s)
-        assert np.count_nonzero(pb.values) == 2
-        pb = prune_baseline(Block([3.0, 1.0]), EstimatorKind.UNIFORM12, s)
-        assert np.count_nonzero(pb.values) <= 1
-        pb = prune_greedy(Block([1.0, 1.0, 2.0, 2.0]), P24)
-        np.testing.assert_array_equal(pb.values, [0.0, 0.0, 2.0, 2.0])
-
-    def test_prune_baseline_rejects_non_baselines(self):
-        with pytest.raises(ValueError):
-            prune_baseline(Block([1.0, 2.0]), EstimatorKind.MVUE12, RandomStream(0))
-
-    def test_block_mse(self):
-        original = Block([1.0, 2.0, 3.0, 4.0])
-        pruned = prune_greedy(original, P24)
-        assert block_mse(original, pruned) == pytest.approx(1.0 + 4.0)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            prune_mvue12(Block([1.0, 2.0, 3.0, 4.0]), RandomStream(0))
-        with pytest.raises(ValueError):
-            analytic_variance_mvue12(Block([1.0, 2.0, 3.0, 4.0]))
-        with pytest.raises(ValueError):
-            marginal_probs_exact24(Block([1.0, 2.0]))
 
 
 class TestPruneTensor:
@@ -971,18 +960,9 @@ class TestPruneTensor:
 def whole_array_kernel(values: np.ndarray, kind: EstimatorKind, seed: int):
     """The kernel called once on all blocks, with the uniforms of one draw."""
     pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
-    if kind is EstimatorKind.GREEDY_MSE:
-        return prune_greedy_array(values, pattern)
-    draws = 2 if kind is EstimatorKind.MVUE24_APPROX else 1
-    u = RandomStream(seed).uniforms((values.shape[0], draws))
-    return {
-        EstimatorKind.MVUE12: lambda: prune_mvue12_array(values, u[:, 0]),
-        EstimatorKind.MVUE24_EXACT: lambda: prune_mvue24_exact_array(values, u[:, 0]),
-        EstimatorKind.MVUE24_APPROX: lambda: prune_mvue24_approx_array(values, u),
-        EstimatorKind.BIASED12: lambda: prune_biased12_array(values, u[:, 0]),
-        EstimatorKind.UNIFORM12: lambda: prune_uniform12_array(values, u[:, 0], False),
-        EstimatorKind.UNBIASED_UNIFORM12: lambda: prune_uniform12_array(values, u[:, 0], True),
-    }[kind]()
+    method = METHODS[kind]
+    u = RandomStream(seed).uniforms((values.shape[0], method.draws)) if method.draws else None
+    return method.kernel(values, u, pattern)
 
 
 CHUNK_EDGES = (PRUNE_CHUNK_BLOCKS - 1, PRUNE_CHUNK_BLOCKS, PRUNE_CHUNK_BLOCKS + 1,
@@ -1031,6 +1011,12 @@ class TestPruneArrayChunks:
 WORKER_FIXTURES = ("one_worker", "four_workers")
 
 
+def replace_kernel(monkeypatch, kernel) -> None:
+    """Run mvue12 through ``kernel`` for the rest of the test."""
+    method = dataclasses.replace(METHODS[EstimatorKind.MVUE12], kernel=kernel)
+    monkeypatch.setitem(estimators.METHODS, EstimatorKind.MVUE12, method)
+
+
 class TestPruneArrayWorkers:
     """prune_array spreads its chunks over a worker pool; no output may
     depend on how many workers there are."""
@@ -1062,13 +1048,13 @@ class TestPruneArrayWorkers:
     def test_error_in_a_worker_reaches_the_caller(self, four_workers, monkeypatch):
         raised_in = []
 
-        def failing(v, u):
+        def failing(v, u, pattern):
             if len(v) < PRUNE_CHUNK_BLOCKS:  # the last chunk, a pool task
                 raised_in.append(threading.current_thread().name)
                 raise ValueError("bad chunk")
             return prune_mvue12_array(v, u[:, 0])
 
-        monkeypatch.setitem(estimators._SAMPLERS, EstimatorKind.MVUE12, (1, failing))
+        replace_kernel(monkeypatch, failing)
         values = random_test_blocks(2 * PRUNE_CHUNK_BLOCKS + 3, 2, seed=100)
         with pytest.raises(ValueError, match="bad chunk"):
             prune_array(values, EstimatorKind.MVUE12, None, RandomStream(0))
@@ -1077,14 +1063,14 @@ class TestPruneArrayWorkers:
     def test_no_task_outlives_a_raising_call(self, four_workers, monkeypatch):
         finished = []
 
-        def slow_or_failing(v, u):
+        def slow_or_failing(v, u, pattern):
             if not threading.current_thread().name.startswith("nmsparse-test"):
                 raise ValueError("bad chunk")  # the calling thread's share
             time.sleep(0.2)
             finished.append(len(v))
             return prune_mvue12_array(v, u[:, 0])
 
-        monkeypatch.setitem(estimators._SAMPLERS, EstimatorKind.MVUE12, (1, slow_or_failing))
+        replace_kernel(monkeypatch, slow_or_failing)
         values = random_test_blocks(2 * PRUNE_CHUNK_BLOCKS + 3, 2, seed=100)
         with pytest.raises(ValueError, match="bad chunk"):
             prune_array(values, EstimatorKind.MVUE12, None, RandomStream(0))
@@ -1093,11 +1079,11 @@ class TestPruneArrayWorkers:
     def test_caller_errstate_holds_in_workers(self, four_workers, monkeypatch):
         seen = []
 
-        def recording(v, u):
+        def recording(v, u, pattern):
             seen.append((threading.current_thread().name, np.geterr()["over"]))
             return prune_mvue12_array(v, u[:, 0])
 
-        monkeypatch.setitem(estimators._SAMPLERS, EstimatorKind.MVUE12, (1, recording))
+        replace_kernel(monkeypatch, recording)
         values = random_test_blocks(4 * PRUNE_CHUNK_BLOCKS, 2, seed=101)
         with np.errstate(over="raise"):
             prune_array(values, EstimatorKind.MVUE12, None, RandomStream(0))
@@ -1222,3 +1208,71 @@ class TestExtremeScaleProbabilities:
         for probs in (exact24_pair_probs, exact24_marginal_probs, approx24_exclusion_probs,
                       approx24_pair_probs):
             np.testing.assert_array_equal(probs(mixed)[:200], probs(normal))
+
+
+class TestExtremeScaleSamplers:
+    """Draws are exact at every finite scale: an out-of-range float64 block
+    is drawn at a power-of-two scale, so it keeps the keep rates of the
+    same block at unit scale, and a survivor beyond float64 is +-inf."""
+
+    SAMPLES = 100_000
+
+    def draw(self, row, kind, seed):
+        out, mask = mc_draws(np.array(row), kind, self.SAMPLES, seed)
+        assert not np.any(np.isnan(out))
+        return out, mask
+
+    def assert_rates(self, mask, p):
+        p = np.asarray(p, dtype=float)
+        se = np.sqrt(p * (1.0 - p) / self.SAMPLES)
+        assert np.all(np.abs(mask.mean(axis=0) - p) <= 5.0 * se), mask.mean(axis=0)
+
+    def test_exact24_near_maximum(self):
+        _, mask = self.draw([1e308, 1e308, 1e308, 5e307], EstimatorKind.MVUE24_EXACT, 110)
+        self.assert_rates(mask, [4 / 7, 4 / 7, 4 / 7, 2 / 7])
+
+    def test_exact24_four_maximal_entries(self):
+        out, mask = self.draw([1e308, -1e308, 1e308, 1e308], EstimatorKind.MVUE24_EXACT, 111)
+        codes = mask @ (1 << np.arange(4))
+        for (i, j), p in zip(PAIR_INDEX_COLUMNS, exact24_pair_probs(np.ones((1, 4)))[0]):
+            freq = np.mean(codes == (1 << i) | (1 << j))
+            assert abs(freq - p) <= 5.0 * np.sqrt(p * (1.0 - p) / self.SAMPLES), (i, j)
+        # The survivors' magnitude S/2 = 2e308 is beyond float64.
+        np.testing.assert_array_equal(np.abs(out[mask]), np.inf)
+
+    @pytest.mark.parametrize("kind", [EstimatorKind.MVUE12, EstimatorKind.BIASED12])
+    def test_12_near_maximum(self, kind):
+        out, mask = self.draw([1e308, 1e308], kind, 112)
+        self.assert_rates(mask, [0.5, 0.5])
+        survivor = np.inf if kind is EstimatorKind.MVUE12 else 1e308
+        np.testing.assert_array_equal(out[mask], survivor)
+
+    def test_approx24_four_maximal_entries(self):
+        out, mask = self.draw(np.full(4, 1e308), EstimatorKind.MVUE24_APPROX, 113)
+        self.assert_rates(mask, np.full(4, 0.5))
+        np.testing.assert_array_equal(out[mask], np.inf)
+
+    @pytest.mark.parametrize("kind", [EstimatorKind.MVUE24_EXACT, EstimatorKind.MVUE24_APPROX])
+    def test_deep_subnormal_block(self, kind):
+        # Multiples of the smallest subnormal: quartering or scaling them
+        # in place would round the running sums.
+        unit = np.array([1.0, -2.0, 3.0, -4.0])
+        out, mask = self.draw(unit * 5e-324, kind, 114)
+        p = 1.0 - METHODS[kind].probs(unit[None, :], None)[1][0]
+        self.assert_rates(mask, p)
+        assert np.all(np.isfinite(out))
+
+    # unbiased-uniform doubles 1e308: a survivor beyond float64 is inf.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kind", [k for k in EstimatorKind if k.is_stochastic])
+    def test_blocks_in_range_are_untouched(self, kind):
+        m = kind.required_pattern.m
+        normal = random_test_blocks(1_000, m, seed=115)
+        extreme = np.full((2, m), 1e308) * [[1.0], [5e-324 / 1e308]]
+        mixed = np.concatenate([normal, extreme])
+        want, want_mask = prune_array(normal, kind, None, RandomStream(116))
+        got, got_mask = prune_array(mixed, kind, None, RandomStream(116))
+        np.testing.assert_array_equal(got[:1_000].view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(got_mask[:1_000], want_mask)
+        assert np.all(got_mask[1_000:].sum(axis=1) == kind.required_pattern.kept)
+        assert not np.any(np.isnan(got))

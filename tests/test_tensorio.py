@@ -1,6 +1,7 @@
 """Binary format tests: dense tensor files and compressed N:M files."""
 
 import os
+import stat
 import struct
 
 import numpy as np
@@ -433,3 +434,76 @@ class TestCompressedFiles:
         out = decompress(read_compressed(path))
         assert out.data.dtype == np.float32
         assert out == pruned
+
+
+class FailingPayloadFile:
+    """A file whose writes stop with OSError after the header."""
+
+    def __init__(self, path, mode):
+        self.fh, self.writes = open(path, mode), 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if self.writes:
+            raise OSError("no space left on device")
+        self.writes += 1
+        return self.fh.write(data)
+
+    def writelines(self, parts):
+        for part in parts:
+            self.write(part)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch, compressed):
+        from nmsparse import tensorio
+
+        t = prune_tensor(f32_tensor((8, 12), seed=5), EstimatorKind.GREEDY_MSE, P24)
+        write = (lambda p, x: write_compressed(p, compress(x, P24))) if compressed else write_tensor
+        path = tmp_path / "out.bin"
+        write(path, t)
+        before = path.read_bytes()
+        monkeypatch.setattr(tensorio, "open", FailingPayloadFile, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            write(path, prune_tensor(f32_tensor((8, 12), seed=6), EstimatorKind.GREEDY_MSE, P24))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_failed_write_of_a_new_file_leaves_nothing(self, tmp_path, monkeypatch):
+        from nmsparse import tensorio
+
+        monkeypatch.setattr(tensorio, "open", FailingPayloadFile, raising=False)
+        with pytest.raises(OSError):
+            write_tensor(tmp_path / "new.nmsp", f32_tensor((4, 4), seed=7))
+        assert os.listdir(tmp_path) == []
+
+    def test_rewrite_replaces_the_file(self, tmp_path):
+        path = tmp_path / "t.nmsp"
+        write_tensor(path, f32_tensor((4, 4), seed=8))
+        second = f32_tensor((2, 6), seed=9)
+        write_tensor(path, second)
+        assert read_tensor(path) == second
+        assert os.listdir(tmp_path) == ["t.nmsp"]
+
+    def test_rewrite_keeps_the_permission_bits(self, tmp_path):
+        path = tmp_path / "t.nmsp"
+        write_tensor(path, f32_tensor((4, 4), seed=8))
+        os.chmod(path, 0o640)
+        write_tensor(path, f32_tensor((4, 4), seed=9))
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+
+    def test_write_through_a_symlink_replaces_its_target(self, tmp_path):
+        target, link = tmp_path / "target.nmsp", tmp_path / "link.nmsp"
+        write_tensor(target, f32_tensor((4, 4), seed=8))
+        link.symlink_to(target.name)
+        second = f32_tensor((2, 6), seed=9)
+        write_tensor(link, second)
+        assert link.is_symlink()
+        assert read_tensor(target) == second
+        assert sorted(os.listdir(tmp_path)) == ["link.nmsp", "target.nmsp"]

@@ -7,6 +7,7 @@ import pytest
 
 from nmsparse.core import SparsityPattern
 from nmsparse.estimators import EstimatorKind
+from nmsparse.rng import RandomStream
 from nmsparse.traindemo import (
     ACT_MODES,
     DATASET_KINDS,
@@ -14,9 +15,8 @@ from nmsparse.traindemo import (
     MlpConfig,
     TrainRecord,
     generate_dataset,
+    _mask_rows,
     masked_gradient_check,
-    prune_only,
-    relu_then_prune,
     train,
 )
 
@@ -66,21 +66,22 @@ class TestGenerateDataset:
             generate_dataset("two-moons", 10, -0.1, seed=0)
 
 
+def prune_only(mat: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
+    return _mask_rows(np.atleast_2d(mat), EstimatorKind.GREEDY_MSE, pattern)[0]
+
+
+def relu_then_prune(mat: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
+    return prune_only(np.maximum(mat, 0.0), pattern)
+
+
 class TestActivationMasking:
     def test_relu_then_prune_example(self):
         out = relu_then_prune(np.array([-1.0, -2.0, 3.0, 4.0]), P24)
-        np.testing.assert_array_equal(out, [0.0, 0.0, 3.0, 4.0])
+        np.testing.assert_array_equal(out, [[0.0, 0.0, 3.0, 4.0]])
 
     def test_prune_only_keeps_negatives(self):
         out = prune_only(np.array([-5.0, -4.0, 1.0, 2.0]), P24)
-        np.testing.assert_array_equal(out, [-5.0, -4.0, 0.0, 0.0])
-
-    def test_relu_then_prune_is_prune_of_relu(self):
-        rng = np.random.default_rng(0)
-        mat = rng.normal(size=(32, 12))
-        np.testing.assert_array_equal(
-            relu_then_prune(mat, P24), prune_only(np.maximum(mat, 0.0), P24)
-        )
+        np.testing.assert_array_equal(out, [[-5.0, -4.0, 0.0, 0.0]])
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
@@ -90,9 +91,17 @@ class TestActivationMasking:
 
     def test_remainder_columns_pass_through(self):
         mat = np.arange(12.0).reshape(2, 6)
-        out = prune_only(mat, P24)
+        out, keep = _mask_rows(mat, EstimatorKind.GREEDY_MSE, P24)
         np.testing.assert_array_equal(out[:, 4:], mat[:, 4:])
+        assert np.all(keep[:, 4:])
         assert np.count_nonzero(out[0, :4]) == 2
+
+    def test_stochastic_remainder_passes_through(self):
+        mat = np.arange(1.0, 13.0).reshape(2, 6)
+        out, keep = _mask_rows(mat, EstimatorKind.MVUE24_EXACT, P24, RandomStream(3))
+        np.testing.assert_array_equal(out[:, 4:], mat[:, 4:])
+        np.testing.assert_array_equal(keep.sum(axis=1), [4, 4])
+        np.testing.assert_array_equal(out != 0.0, keep)
 
     def test_blocks_satisfy_pattern(self):
         rng = np.random.default_rng(2)
@@ -107,7 +116,7 @@ class TestActivationMasking:
         mat = rng.normal(size=(5, 8))
         out = prune_only(mat, P24)
         for r in range(5):
-            np.testing.assert_array_equal(out[r], prune_only(mat[r], P24))
+            np.testing.assert_array_equal(out[r], prune_only(mat[r], P24)[0])
 
 
 class TestMlpConfig:
