@@ -20,7 +20,6 @@ from .core import Block, BlockMask, SparsityPattern
 from .estimators import (
     METHODS,
     EstimatorKind,
-    _map_ordered,
     approx24_variance_array,
     elementwise_variance_array,
     entry_moments,
@@ -285,19 +284,25 @@ def scan_summary(
 # mean (m-n)^2 / m.
 
 
+def _mask_overlaps(pattern: SparsityPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bit sets of the pattern's kept-index combinations, the popcount of
+    every m-bit value, and the overlap of every ordered pair of sets."""
+    combos = itertools.combinations(range(pattern.m), pattern.kept)
+    bits = np.array([sum(1 << i for i in c) for c in combos], dtype=np.int64)
+    popcount = np.array([bin(x).count("1") for x in range(1 << pattern.m)])
+    return bits, popcount, popcount[bits[:, None] & bits[None, :]].ravel()
+
+
 def expected_macs(
     pattern: SparsityPattern, trials: int = 100_000, seed: int = 0
 ) -> tuple[float, float]:
     """(empirical_mean, analytic_mean) MACs per block for random masks."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    combos = list(itertools.combinations(range(pattern.m), pattern.kept))
-    bits = np.array([sum(1 << i for i in c) for c in combos], dtype=np.int64)
-    popcount = np.array([bin(x).count("1") for x in range(1 << pattern.m)])
+    bits, popcount, overlaps = _mask_overlaps(pattern)
 
     # Analytic mean via the overlap distribution P(overlap = k).
-    overlap_counts = popcount[bits[:, None] & bits[None, :]]
-    hist = np.bincount(overlap_counts.ravel(), minlength=pattern.m + 1)
+    hist = np.bincount(overlaps, minlength=pattern.m + 1)
     probs = hist / hist.sum()
     analytic = float(np.dot(np.arange(pattern.m + 1), probs))
 
@@ -310,11 +315,7 @@ def expected_macs(
 
 def expected_macs_se(pattern: SparsityPattern, trials: int) -> float:
     """Standard error of the empirical MAC mean over the given trials."""
-    combos = list(itertools.combinations(range(pattern.m), pattern.kept))
-    bits = np.array([sum(1 << i for i in c) for c in combos], dtype=np.int64)
-    popcount = np.array([bin(x).count("1") for x in range(1 << pattern.m)])
-    overlaps = popcount[bits[:, None] & bits[None, :]].ravel()
-    return float(overlaps.std(ddof=0) / math.sqrt(trials))
+    return float(_mask_overlaps(pattern)[2].std(ddof=0) / math.sqrt(trials))
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +429,9 @@ def verify_estimator(
         mean_se_closed = np.sqrt(elementwise_variance_array(blocks, kind) / samples)
         mse_se_closed = _squared_error_sd(kind, blocks, kept_sets, set_probs) / math.sqrt(samples)
 
-    # Each block draws from its own stream, so the blocks run on every CPU.
-    def estimate(idx: int) -> McReport:
-        return mc_estimate(Block(blocks[idx]), kind, samples, seed + idx, pattern)
-
-    for idx, report in enumerate(_map_ordered(estimate, range(num_blocks))):
+    for idx in range(num_blocks):
+        # Each block draws from its own stream.
+        report = mc_estimate(Block(blocks[idx]), kind, samples, seed + idx, pattern)
         # Pattern compliance: every draw keeps exactly pattern.kept entries
         # (mc_estimate would have failed otherwise) and frequencies sum to 1.
         if abs(sum(report.pair_frequencies.values()) - 1.0) > 1e-9:

@@ -27,12 +27,7 @@ treat a kept value of a zero entry as exact zero and use the convention
 
 from __future__ import annotations
 
-import contextvars
 import enum
-import itertools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
@@ -370,7 +365,7 @@ def prune_mvue24_exact_array(
         col[all_zero] = (6.0 * u[all_zero]).astype(np.uint8)
     if np.any(three_zero):
         col[three_zero] = _THREE_ZERO_COLUMNS[(3.0 * u[three_zero]).astype(np.intp)]
-    # Free the draw's rows first: prune_array runs chunks side by side.
+    # Free the draw's rows before the output's are made.
     del sums, all_zero, three_zero, x
 
     mask = np.empty(values.shape, dtype=bool)
@@ -740,49 +735,6 @@ def approx24_variance_array(values: np.ndarray) -> np.ndarray:
 # 16k 2:4 blocks is 512 KiB, and verify's 10k-draw calls take one chunk.
 PRUNE_CHUNK_BLOCKS = 1 << 14
 
-# _map_ordered's pool, made on first use: a thread per CPU of the affinity
-# set but one, as the calling thread runs a share. A forked child makes its own.
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-_in_worker = threading.local()
-
-
-def _drop_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _map_ordered(fn, items, window: int | None = None) -> list:
-    """[fn(item) for item in items], run in batches of min(CPUs, window)
-    items: the calling thread takes them in order and runs the last of each
-    batch, the pool the others, each in a copy of the caller's context (so
-    np.errstate holds). One item, one CPU or a call from a pool worker runs
-    inline, so no worker ever waits on a task."""
-    global _pool
-    items, width = iter(items), min(_CPUS, window or _CPUS)
-    head = list(itertools.islice(items, 2))
-    items = itertools.chain(head, items)
-    if len(head) < 2 or width < 2 or getattr(_in_worker, "active", False):
-        return [fn(item) for item in items]
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_CPUS - 1, "nmsparse", initializer=setattr,
-                                       initargs=(_in_worker, "active", True))
-    results = []
-    while futures := [_pool.submit(contextvars.copy_context().run, fn, item)
-                      for item in itertools.islice(items, width - 1)]:
-        try:
-            last = [fn(item) for item in itertools.islice(items, 1)]
-        finally:
-            wait(futures)  # no task outlives the call, even when it raises
-        results += [future.result() for future in futures] + last
-    return results
-
 
 def prune_array(
     values: np.ndarray,
@@ -794,11 +746,12 @@ def prune_array(
 
     Returns (pruned values, keep mask), the values in the input's dtype,
     float32 or float64. The kernel runs on chunks of PRUNE_CHUNK_BLOCKS
-    blocks, spread over the CPUs, whose uniforms the calling thread draws in
-    chunk order: exactly the uniforms of one draw. Stochastic kernels widen
-    each chunk to float64. A float64 block out of the kernels' range is
-    drawn at a power-of-two scale and its survivors scaled back, so every
-    draw is exact at every finite scale; a survivor beyond float64 is +-inf.
+    blocks, one at a time on the calling thread, each drawing its uniforms
+    in chunk order: exactly the uniforms of one draw. Stochastic kernels
+    widen each chunk to float64. A float64 block out of the kernels' range
+    is drawn at a power-of-two scale and its survivors scaled back, so
+    every draw is exact at every finite scale; a survivor beyond float64
+    is +-inf.
     """
     pattern = resolve_pattern(kind, pattern)
     values = _float_blocks(values, pattern.m)
@@ -806,10 +759,8 @@ def prune_array(
     if method.draws and stream is None:
         raise ValueError(f"method {kind.value!r} is stochastic and needs a RandomStream")
 
-    def uniforms(rows: slice) -> np.ndarray | None:
-        return stream.uniforms((len(values[rows]), method.draws)) if method.draws else None
-
-    def kernel(part: np.ndarray, u: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    def kernel(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u = stream.uniforms((len(part), method.draws)) if method.draws else None
         try:
             return method.kernel(part, u, pattern)
         except _OutOfRange:
@@ -818,25 +769,18 @@ def prune_array(
             return _unscale(out, exponent), mask
 
     if len(values) <= PRUNE_CHUNK_BLOCKS:
-        part, mask = kernel(values, uniforms(slice(None)))
+        part, mask = kernel(values)
         # Survivors may overflow float32; the file writers refuse non-finite data.
         with np.errstate(over="ignore"):
             return part.astype(values.dtype, copy=False), mask
     # The samplers lay their output out like their input, greedy row-major.
     out = np.empty_like(values, order="C" if kind is EstimatorKind.GREEDY_MSE else "K")
     mask = np.empty(values.shape, dtype=bool)
-
-    def prune_chunk(chunk: tuple[slice, np.ndarray | None]) -> None:
-        rows, u = chunk
-        part, mask[rows] = kernel(values[rows], u)
+    for start in range(0, len(values), PRUNE_CHUNK_BLOCKS):
+        rows = slice(start, start + PRUNE_CHUNK_BLOCKS)
+        part, mask[rows] = kernel(values[rows])
         with np.errstate(over="ignore"):
             out[rows] = part
-
-    chunks = [slice(start, start + PRUNE_CHUNK_BLOCKS)
-              for start in range(0, len(values), PRUNE_CHUNK_BLOCKS)]
-    # At most one chunk in eight in flight, two at least: whatever the CPU
-    # count, the temporaries held at once stay a small share of the call's.
-    _map_ordered(prune_chunk, ((rows, uniforms(rows)) for rows in chunks), max(2, len(chunks) // 8))
     return out, mask
 
 

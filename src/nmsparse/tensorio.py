@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import os
 import stat
 import struct
@@ -77,6 +78,20 @@ def _read_exact(fh, count: int, what: str) -> bytes | bytearray:
     if len(data) != count:
         raise TensorFormatError(f"truncated {what}: wanted {count} bytes, got {len(data)}")
     return data
+
+
+# numpy refuses an array, empty or not, whose nonzero dimensions times its
+# item size exceed the largest intp; the library forms float64 arrays.
+_MAX_ELEMENTS = np.iinfo(np.intp).max // 8
+
+
+def _read_shape(fh, ndim: int) -> tuple[int, ...]:
+    """A header's ndim dimensions; a shape that numpy cannot hold as
+    float64 is a format error, even with a zero dimension."""
+    shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "shape"))
+    if math.prod(s or 1 for s in shape) > _MAX_ELEMENTS:
+        raise TensorFormatError(f"shape {shape} is too large")
+    return shape
 
 
 def _float32_payload(values: np.ndarray) -> np.ndarray:
@@ -140,11 +155,8 @@ def read_tensor(path) -> BlockedTensor:
             raise TensorFormatError(f"unsupported dtype code {dtype}")
         if ndim == 0:
             raise TensorFormatError("scalar tensor files are not supported")
-        shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "shape"))
-        numel = 1
-        for s in shape:
-            numel *= s
-        payload = _read_exact(fh, 4 * numel, "payload")
+        shape = _read_shape(fh, ndim)
+        payload = _read_exact(fh, 4 * math.prod(shape), "payload")
         if fh.read(1):
             raise TensorFormatError("trailing bytes after payload")
     data = np.frombuffer(payload, dtype="<f4")
@@ -194,10 +206,7 @@ class CompressedSparseTensor:
         return self.values.nbytes + self.indices.nbytes + self.tail.nbytes
 
     def dense_payload_bytes(self) -> int:
-        numel = 1
-        for s in self.shape:
-            numel *= s
-        return numel * 4
+        return math.prod(self.shape) * 4
 
     def blocked_compression_ratio(self) -> float:
         """Compressed bytes of the blocked region over its dense bytes
@@ -318,14 +327,11 @@ def read_compressed(path) -> CompressedSparseTensor:
             pattern = SparsityPattern(n, m)
         except ValueError as exc:
             raise TensorFormatError(str(exc)) from None
-        shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "shape"))
+        shape = _read_shape(fh, ndim)
         if not block_axis < ndim:
             raise TensorFormatError(f"block axis {block_axis} out of range")
         axis_len = shape[block_axis]
-        lanes = 1
-        for i, s in enumerate(shape):
-            if i != block_axis:
-                lanes *= s
+        lanes = math.prod(shape[:block_axis] + shape[block_axis + 1 :])
         blocks_per_lane, remainder = divmod(axis_len, m)
         num_blocks = lanes * blocks_per_lane
         values = np.frombuffer(

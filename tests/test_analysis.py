@@ -10,7 +10,6 @@ import pytest
 from nmsparse import analysis, estimators
 from nmsparse.analysis import (
     SCAN_CSV_HEADER,
-    McReport,
     PropertyCheck,
     ScanSummary,
     brute_force_min_mse_mask,
@@ -82,14 +81,6 @@ class TestMcEstimate:
         assert report.kind is EstimatorKind.MVUE24_APPROX
         assert report.samples == 50 and report.seed == 3
         assert all(len(k) == 2 for k in report.pair_frequencies)
-
-
-def assert_same_report(got: McReport, want: McReport):
-    assert (got.block, got.kind, got.samples, got.seed) == (want.block, want.kind, want.samples, want.seed)
-    for name in ("empirical_mean", "empirical_var", "mean_se"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-    assert (got.mse_mean, got.mse_se) == (want.mse_mean, want.mse_se)
-    assert got.pair_frequencies == want.pair_frequencies
 
 
 class TestMcStatistics:
@@ -438,48 +429,11 @@ class TestVerifyEstimator:
         )
         assert all(c.passed for c in checks)
 
-    @pytest.mark.parametrize(
-        "kind",
-        [EstimatorKind.MVUE24_APPROX, EstimatorKind.MVUE24_EXACT, EstimatorKind.MVUE12,
-         EstimatorKind.GREEDY_MSE],
-    )
-    def test_consumes_the_serial_reports_in_order(self, kind, monkeypatch, four_workers):
-        # The blocks run on a worker pool; the checks must see the reports
-        # of a serial mc_estimate loop, in block order.
-        consumed = {}
-        real_mc_estimate = analysis.mc_estimate
-
-        def recording(*args):
-            report = real_mc_estimate(*args)
-            consumed[report.seed] = report
-            return report
-
-        monkeypatch.setattr(analysis, "mc_estimate", recording)
-        checks = verify_estimator(kind, num_blocks=12, samples=2_000, seed=3)
-        pattern = P24 if kind is EstimatorKind.GREEDY_MSE else None
-        m = 2 if kind is EstimatorKind.MVUE12 else 4
-        blocks = random_test_blocks(12, m, 3)
-        serial = {3 + i: real_mc_estimate(Block(blocks[i]), kind, 2_000, 3 + i, pattern)
-                  for i in range(12)}
-        assert sorted(consumed) == sorted(serial)
-        for seed, report in serial.items():
-            assert_same_report(consumed[seed], report)
-        # The same checks from the serial reports, each handed out once, in
-        # a run on the calling thread alone.
-        with monkeypatch.context() as m:
-            m.setattr(estimators, "_pool", None)
-            m.setattr(estimators, "_CPUS", 1)
-            m.setattr(analysis, "mc_estimate", lambda block, kind, samples, seed, pattern: serial.pop(seed))
-            assert verify_estimator(kind, num_blocks=12, samples=2_000, seed=3) == checks
-        assert serial == {}
-
-    def test_nested_multi_chunk_calls_finish(self, request, four_workers, within_seconds):
-        # samples > PRUNE_CHUNK_BLOCKS: each block's prune_array call maps
-        # its own chunks, from a pool worker or from the calling thread.
-        args = (EstimatorKind.MVUE24_EXACT, 6, PRUNE_CHUNK_BLOCKS + 5, 8)
-        pooled = within_seconds(lambda: verify_estimator(*args), 120)
-        estimators._pool, estimators._CPUS = None, 1  # restored by the fixture
-        assert verify_estimator(*args) == pooled
+    def test_nested_multi_chunk_calls_finish(self):
+        # samples > PRUNE_CHUNK_BLOCKS: each block's prune_array call runs
+        # several chunks.
+        checks = verify_estimator(EstimatorKind.MVUE24_EXACT, 6, PRUNE_CHUNK_BLOCKS + 5, 8)
+        assert [check.name for check in checks if not check.passed] == []
 
     def test_detail_strings_are_informative(self):
         checks = verify_estimator(EstimatorKind.MVUE12, num_blocks=5, samples=1_000, seed=4)

@@ -7,12 +7,7 @@ partner). Monte-Carlo checks run at the 5-sigma level with fixed seeds.
 """
 
 import dataclasses
-import itertools
-import os
-import signal
-import sys
 import threading
-import time
 import tracemalloc
 from fractions import Fraction
 
@@ -20,7 +15,7 @@ import numpy as np
 import pytest
 
 from nmsparse import estimators
-from nmsparse.analysis import random_test_blocks
+from nmsparse.analysis import random_test_blocks, verify_estimator
 from nmsparse.core import (
     SUPPORTED_BLOCK_LENGTHS,
     Block,
@@ -1007,37 +1002,7 @@ class TestPruneArrayChunks:
         assert out.strides == ref_out.strides
         np.testing.assert_array_equal(out, ref_out)
 
-
-WORKER_FIXTURES = ("one_worker", "four_workers")
-
-
-def replace_kernel(monkeypatch, kernel) -> None:
-    """Run mvue12 through ``kernel`` for the rest of the test."""
-    method = dataclasses.replace(METHODS[EstimatorKind.MVUE12], kernel=kernel)
-    monkeypatch.setitem(estimators.METHODS, EstimatorKind.MVUE12, method)
-
-
-class TestPruneArrayWorkers:
-    """prune_array spreads its chunks over a worker pool; no output may
-    depend on how many workers there are."""
-
-    @pytest.mark.parametrize("workers", WORKER_FIXTURES)
-    @pytest.mark.parametrize("kind", list(EstimatorKind))
-    @pytest.mark.parametrize("blocks", CHUNK_EDGES)
-    def test_bit_identical_at_any_worker_count(self, request, workers, kind, blocks):
-        request.getfixturevalue(workers)
-        pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
-        values = random_test_blocks(blocks, pattern.m, seed=blocks)
-        values[::7] = 0.0
-        out, mask = prune_array(values, kind, pattern, RandomStream(97))
-        ref_out, ref_mask = whole_array_kernel(values, kind, 97)
-        np.testing.assert_array_equal(out.view(np.uint64), ref_out.view(np.uint64))
-        np.testing.assert_array_equal(mask, ref_mask)
-
-    @pytest.mark.parametrize("workers", (None,) + WORKER_FIXTURES)
-    def test_stream_continues_as_after_one_draw(self, request, workers):
-        if workers:
-            request.getfixturevalue(workers)
+    def test_stream_continues_as_after_one_draw(self):
         values = random_test_blocks(2 * PRUNE_CHUNK_BLOCKS + 3, 4, seed=98)
         stream = RandomStream(99)
         prune_array(values, EstimatorKind.MVUE24_APPROX, None, stream)
@@ -1045,93 +1010,23 @@ class TestPruneArrayWorkers:
         reference.uniforms((len(values), 2))
         np.testing.assert_array_equal(stream.uniforms(8), reference.uniforms(8))
 
-    def test_error_in_a_worker_reaches_the_caller(self, four_workers, monkeypatch):
-        raised_in = []
 
-        def failing(v, u, pattern):
-            if len(v) < PRUNE_CHUNK_BLOCKS:  # the last chunk, a pool task
-                raised_in.append(threading.current_thread().name)
-                raise ValueError("bad chunk")
-            return prune_mvue12_array(v, u[:, 0])
+def test_pruning_and_verify_run_on_the_calling_thread(monkeypatch):
+    # The library starts no thread: every kernel call runs on the caller's.
+    seen = set()
+    for kind, method in list(METHODS.items()):
+        def kernel(v, u, pattern, method=method):
+            seen.add(threading.get_ident())
+            return method.kernel(v, u, pattern)
 
-        replace_kernel(monkeypatch, failing)
-        values = random_test_blocks(2 * PRUNE_CHUNK_BLOCKS + 3, 2, seed=100)
-        with pytest.raises(ValueError, match="bad chunk"):
-            prune_array(values, EstimatorKind.MVUE12, None, RandomStream(0))
-        assert raised_in and raised_in[0].startswith("nmsparse-test")
-
-    def test_no_task_outlives_a_raising_call(self, four_workers, monkeypatch):
-        finished = []
-
-        def slow_or_failing(v, u, pattern):
-            if not threading.current_thread().name.startswith("nmsparse-test"):
-                raise ValueError("bad chunk")  # the calling thread's share
-            time.sleep(0.2)
-            finished.append(len(v))
-            return prune_mvue12_array(v, u[:, 0])
-
-        replace_kernel(monkeypatch, slow_or_failing)
-        values = random_test_blocks(2 * PRUNE_CHUNK_BLOCKS + 3, 2, seed=100)
-        with pytest.raises(ValueError, match="bad chunk"):
-            prune_array(values, EstimatorKind.MVUE12, None, RandomStream(0))
-        assert finished == [PRUNE_CHUNK_BLOCKS]
-
-    def test_caller_errstate_holds_in_workers(self, four_workers, monkeypatch):
-        seen = []
-
-        def recording(v, u, pattern):
-            seen.append((threading.current_thread().name, np.geterr()["over"]))
-            return prune_mvue12_array(v, u[:, 0])
-
-        replace_kernel(monkeypatch, recording)
-        values = random_test_blocks(4 * PRUNE_CHUNK_BLOCKS, 2, seed=101)
-        with np.errstate(over="raise"):
-            prune_array(values, EstimatorKind.MVUE12, None, RandomStream(0))
-        assert len(seen) == 4 and {over for _, over in seen} == {"raise"}
-        assert any(name.startswith("nmsparse-test") for name, _ in seen)
-
-    def test_many_workers_with_a_short_switch_interval(self, four_workers, within_seconds):
-        # More threads than this host's cores, switching as often as the
-        # interpreter allows: a lost or misplaced chunk would show. With 33
-        # chunks, four run at a time.
-        values = random_test_blocks(32 * PRUNE_CHUNK_BLOCKS + 1, 4, seed=102)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for kind in (EstimatorKind.MVUE24_APPROX, EstimatorKind.GREEDY_MSE):
-                pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
-                out, mask = within_seconds(
-                    lambda: prune_array(values, kind, pattern, RandomStream(103)), 120
-                )
-                ref_out, ref_mask = whole_array_kernel(values, kind, 103)
-                np.testing.assert_array_equal(out, ref_out)
-                np.testing.assert_array_equal(mask, ref_mask)
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_can_prune(self, four_workers):
-        values = random_test_blocks(2 * PRUNE_CHUNK_BLOCKS + 3, 4, seed=104)
-        want, _ = prune_array(values, EstimatorKind.MVUE24_EXACT, None, RandomStream(105))
-        pid = os.fork()
-        if pid == 0:  # the child: the parent's pool threads do not exist here
-            code = 1
-            try:
-                got, _ = prune_array(values, EstimatorKind.MVUE24_EXACT, None, RandomStream(105))
-                code = 0 if np.array_equal(got, want) else 2
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60
-        while True:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child hung in prune_array")
-            time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(status) == 0
+        monkeypatch.setitem(estimators.METHODS, kind, dataclasses.replace(method, kernel=kernel))
+    before = threading.active_count()
+    values = random_test_blocks(2 * PRUNE_CHUNK_BLOCKS + 3, 4, seed=106)
+    prune_array(values, EstimatorKind.MVUE24_APPROX, None, RandomStream(107))
+    prune_tensor(BlockedTensor.from_array(values), EstimatorKind.MVUE24_EXACT, None, RandomStream(108))
+    verify_estimator(EstimatorKind.MVUE12, num_blocks=4, samples=1_000, seed=109)
+    assert threading.active_count() == before
+    assert seen == {threading.get_ident()}
 
 
 def prune_tensor_peak(kind: EstimatorKind, tmp_path) -> tuple[int, int]:
@@ -1158,15 +1053,7 @@ class TestPruneTensorMemory:
     @pytest.mark.parametrize("kind", list(EstimatorKind))
     def test_peak_stays_within_three_payloads(self, kind, tmp_path):
         # What prune_tensor allocates on top of the tensor it reads: the
-        # output, the mask and the temporaries of the chunks in flight, no
-        # full-size float64.
-        peak, payload = prune_tensor_peak(kind, tmp_path)
-        assert peak <= 3 * payload
-
-    @pytest.mark.parametrize("kind", list(EstimatorKind))
-    def test_more_cpus_keep_the_bound(self, kind, tmp_path, four_workers):
-        # Of the tensor's 16 chunks, prune_array holds two at a time, however
-        # many CPUs the pool has.
+        # output, the mask and one chunk's temporaries, no full-size float64.
         peak, payload = prune_tensor_peak(kind, tmp_path)
         assert peak <= 3 * payload
 

@@ -15,6 +15,7 @@ from nmsparse.estimators import (
     PAIR_INDEX_COLUMNS,
     PATTERN_24,
     EstimatorKind,
+    approx24_pair_probs,
     elementwise_variance_array,
     exact24_marginal_probs,
     exact24_pair_probs,
@@ -121,6 +122,47 @@ def test_permuting_a_block_permutes_its_marginals(kind, data):
     got, want = probs(kind, values[:, perm])[0], probs(kind, values)[0][:, perm]
     # Sums in another order round apart; approx24 forms p as 1 - q.
     np.testing.assert_allclose(got, want, rtol=0, atol=4 * np.spacing(1.0))
+
+
+@FIXED
+@given(kind=METHOD, data=st.data(), seed=st.integers(0, 2**32))
+def test_flipping_signs_flips_only_the_survivors(kind, data, seed):
+    # Every probability and draw reads magnitudes alone.
+    pattern = pattern_of(kind)
+    values = data.draw(blocks(pattern.m))
+    method = METHODS[kind]
+    got = [*probs(kind, -values), method.deviation(-values, pattern)]
+    want = [*probs(kind, values), method.deviation(values, pattern)]
+    if method.kept_set_probs is not None:
+        got.append(method.kept_set_probs(-values)[1])
+        want.append(method.kept_set_probs(values)[1])
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+    out, mask = prune_array(-values, kind, pattern, RandomStream(seed))
+    ref_out, ref_mask = prune_array(values, kind, pattern, RandomStream(seed))
+    np.testing.assert_array_equal(mask, ref_mask)
+    np.testing.assert_array_equal(out, -ref_out)
+
+
+# Blocks of four distinct magnitudes: the rank order, which decides the
+# pair a tie excludes, follows the permutation.
+DISTINCT = st.lists(
+    st.lists(ANY_FINITE, min_size=4, max_size=4, unique_by=abs), min_size=1, max_size=8
+).map(lambda rows: np.array(rows, dtype=np.float64))
+
+
+@FIXED
+@given(values=DISTINCT, perm=st.permutations(range(4)))
+def test_permuting_a_block_permutes_its_pair_probabilities(values, perm):
+    # Pair (i, j) of the permuted block is pair (perm[i], perm[j]) of the block.
+    columns = [PAIR_INDEX_COLUMNS.index(tuple(sorted((perm[i], perm[j]))))
+               for i, j in PAIR_INDEX_COLUMNS]
+    permuted = values[:, perm]
+    np.testing.assert_array_equal(exact24_pair_probs(permuted), exact24_pair_probs(values)[:, columns])
+    np.testing.assert_allclose(
+        approx24_pair_probs(permuted), approx24_pair_probs(values)[:, columns],
+        rtol=0, atol=4 * np.spacing(1.0),
+    )
 
 
 @FIXED

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from nmsparse.cli import EXIT_IO, EXIT_OK, main
 from nmsparse.core import (
     SUPPORTED_BLOCK_LENGTHS,
     BlockedTensor,
@@ -434,6 +435,113 @@ class TestCompressedFiles:
         out = decompress(read_compressed(path))
         assert out.data.dtype == np.float32
         assert out == pruned
+
+
+# A zero dimension next to others that multiply beyond what numpy can hold:
+# there is no payload to read, and no array of the shape either.
+HUGE_SHAPES = [(0, 2**63), (2**63, 0), (2**32, 2**32, 0), (0, 2**64 - 1)]
+# The largest dimension of an empty shape the readers accept.
+LARGEST_DIM = (2**63 - 1) // 8
+
+
+def dense_header(shape) -> bytes:
+    return struct.pack(
+        f"<4sHHH{len(shape)}Q", TENSOR_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, len(shape), *shape
+    )
+
+
+def compressed_header(shape, axis) -> bytes:
+    return struct.pack(
+        f"<4sHHHHHH{len(shape)}Q", COMPRESSED_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, 2, 4, axis,
+        len(shape), *shape,
+    )
+
+
+def prune_cli(path, out, *extra) -> int:
+    return main(["prune", str(path), str(out), "--method", "mvue24", *extra])
+
+
+@pytest.mark.filterwarnings("error")
+class TestCraftedShapes:
+    @pytest.mark.parametrize("shape", HUGE_SHAPES)
+    def test_dense_reader_refuses(self, tmp_path, shape):
+        path = tmp_path / "t.nmsp"
+        path.write_bytes(dense_header(shape))
+        with pytest.raises(TensorFormatError, match="too large"):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("shape", HUGE_SHAPES)
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_compressed_reader_refuses(self, tmp_path, shape, axis):
+        path = tmp_path / "t.nmsc"
+        path.write_bytes(compressed_header(shape, axis % len(shape)))
+        with pytest.raises(TensorFormatError, match="too large"):
+            read_compressed(path)
+
+    @pytest.mark.parametrize("shape", HUGE_SHAPES)
+    @pytest.mark.parametrize("axis", ["0", "-1"])
+    def test_prune_exits_with_a_format_error(self, tmp_path, capsys, shape, axis):
+        path = tmp_path / "t.nmsp"
+        path.write_bytes(dense_header(shape))
+        assert prune_cli(path, tmp_path / "o.nmsp", "--axis", axis) == EXIT_IO
+        assert "too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [(0, LARGEST_DIM), (LARGEST_DIM, 0)])
+    @pytest.mark.parametrize("axis", ["0", "-1"])
+    def test_largest_empty_shapes_prune(self, tmp_path, capsys, shape, axis):
+        path, out, comp = tmp_path / "t.nmsp", tmp_path / "o.nmsp", tmp_path / "o.nmsc"
+        path.write_bytes(dense_header(shape))
+        assert prune_cli(path, out, "--axis", axis, "--compressed", str(comp)) == EXIT_OK
+        assert read_tensor(out).shape == shape
+        assert decompress(read_compressed(comp)).shape == shape
+        with pytest.raises(TensorFormatError, match="too large"):
+            path.write_bytes(dense_header(tuple(s and s + 1 for s in shape)))
+            read_tensor(path)
+
+
+def fuzzed(raw: bytes, header_bytes: int):
+    """raw cut at every byte, then with each bit of its header flipped."""
+    for end in range(len(raw)):
+        yield raw[:end]
+    for bit in range(8 * header_bytes):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << bit % 8
+        yield bytes(flipped)
+
+
+class TestHeaderFuzz:
+    """A truncated file or one header bit flipped gives TensorFormatError
+    from the readers and exit 3 from prune, unless the file is still well
+    formed; nothing else may come out."""
+
+    def test_dense_file(self, tmp_path, capsys):
+        src, path, out = tmp_path / "t.nmsp", tmp_path / "f.nmsp", tmp_path / "o.nmsp"
+        write_tensor(src, f32_tensor((3, 4, 5), seed=16))
+        raw, header = src.read_bytes(), 10 + 3 * 8
+        for data in fuzzed(raw, header):
+            path.write_bytes(data)
+            try:
+                read_tensor(path)
+                want = EXIT_OK
+            except TensorFormatError:
+                want = EXIT_IO
+            # Cuts inside the payload all read as truncated; the CLI runs
+            # on the header's cuts and flips.
+            if len(data) <= header or len(data) == len(raw):
+                assert prune_cli(path, out) == want
+        capsys.readouterr()
+
+    def test_compressed_file(self, tmp_path):
+        src, path = tmp_path / "t.nmsc", tmp_path / "f.nmsc"
+        pruned = prune_tensor(f32_tensor((3, 4, 5), seed=17), EstimatorKind.GREEDY_MSE, P24)
+        write_compressed(src, compress(pruned, P24))
+        for data in fuzzed(src.read_bytes(), 16 + 3 * 8):
+            path.write_bytes(data)
+            try:
+                c = read_compressed(path)
+            except TensorFormatError:
+                continue
+            decompress(c)
 
 
 class FailingPayloadFile:
