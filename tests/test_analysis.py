@@ -10,6 +10,7 @@ import pytest
 from nmsparse import analysis, estimators
 from nmsparse.analysis import (
     SCAN_CSV_HEADER,
+    McReport,
     PropertyCheck,
     ScanSummary,
     brute_force_min_mse_mask,
@@ -81,6 +82,14 @@ class TestMcEstimate:
         assert report.kind is EstimatorKind.MVUE24_APPROX
         assert report.samples == 50 and report.seed == 3
         assert all(len(k) == 2 for k in report.pair_frequencies)
+
+
+def assert_same_report(got: McReport, want: McReport):
+    assert (got.block, got.kind, got.samples, got.seed) == (want.block, want.kind, want.samples, want.seed)
+    for name in ("empirical_mean", "empirical_var", "mean_se"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert (got.mse_mean, got.mse_se) == (want.mse_mean, want.mse_se)
+    assert got.pair_frequencies == want.pair_frequencies
 
 
 class TestMcStatistics:
@@ -428,6 +437,37 @@ class TestVerifyEstimator:
             EstimatorKind.GREEDY_MSE, num_blocks=10, samples=2, seed=3, pattern=P48
         )
         assert all(c.passed for c in checks)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [EstimatorKind.MVUE24_APPROX, EstimatorKind.MVUE24_EXACT, EstimatorKind.MVUE12,
+         EstimatorKind.GREEDY_MSE],
+    )
+    def test_consumes_the_serial_reports_in_order(self, kind, monkeypatch):
+        # Block idx is drawn with seed + idx, in block order, and the checks
+        # are built from exactly those reports.
+        consumed = []
+        real_mc_estimate = analysis.mc_estimate
+
+        def recording(*args):
+            report = real_mc_estimate(*args)
+            consumed.append(report)
+            return report
+
+        monkeypatch.setattr(analysis, "mc_estimate", recording)
+        checks = verify_estimator(kind, num_blocks=12, samples=2_000, seed=3)
+        pattern = P24 if kind is EstimatorKind.GREEDY_MSE else None
+        m = 2 if kind is EstimatorKind.MVUE12 else 4
+        blocks = random_test_blocks(12, m, 3)
+        serial = {3 + i: real_mc_estimate(Block(blocks[i]), kind, 2_000, 3 + i, pattern)
+                  for i in range(12)}
+        assert [report.seed for report in consumed] == list(serial)
+        for report in consumed:
+            assert_same_report(report, serial[report.seed])
+        # The same checks from the serial reports, each handed out once.
+        monkeypatch.setattr(analysis, "mc_estimate", lambda block, kind, samples, seed, pattern: serial.pop(seed))
+        assert verify_estimator(kind, num_blocks=12, samples=2_000, seed=3) == checks
+        assert serial == {}
 
     def test_nested_multi_chunk_calls_finish(self):
         # samples > PRUNE_CHUNK_BLOCKS: each block's prune_array call runs

@@ -1002,13 +1002,65 @@ class TestPruneArrayChunks:
         assert out.strides == ref_out.strides
         np.testing.assert_array_equal(out, ref_out)
 
-    def test_stream_continues_as_after_one_draw(self):
-        values = random_test_blocks(2 * PRUNE_CHUNK_BLOCKS + 3, 4, seed=98)
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("blocks", CHUNK_EDGES)
+    def test_stream_continues_as_after_one_draw(self, kind, blocks):
+        pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
+        values = random_test_blocks(blocks, pattern.m, seed=98)
         stream = RandomStream(99)
-        prune_array(values, EstimatorKind.MVUE24_APPROX, None, stream)
+        prune_array(values, kind, pattern, stream)
         reference = RandomStream(99)
-        reference.uniforms((len(values), 2))
+        if METHODS[kind].draws:
+            reference.uniforms((len(values), METHODS[kind].draws))
         np.testing.assert_array_equal(stream.uniforms(8), reference.uniforms(8))
+
+    # unbiased-uniform doubles 1e308: a survivor beyond float64 is inf.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_out_of_range_blocks_in_one_chunk(self, kind, monkeypatch):
+        # Only the last chunk holds blocks beyond the kernels' range; it is
+        # scaled block by block, so the chunked result is the one-call result.
+        pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
+        values = random_test_blocks(2 * PRUNE_CHUNK_BLOCKS + 3, pattern.m, seed=114)
+        top = np.abs(values[-3:]).max(axis=1, keepdims=True)
+        values[-3:] *= [[1e308], [-1e308], [1e-310]] / top
+        out, mask = prune_array(values, kind, pattern, RandomStream(115))
+        monkeypatch.setattr(estimators, "PRUNE_CHUNK_BLOCKS", len(values))
+        ref_out, ref_mask = prune_array(values, kind, pattern, RandomStream(115))
+        np.testing.assert_array_equal(out.view(np.uint64), ref_out.view(np.uint64))
+        np.testing.assert_array_equal(mask, ref_mask)
+
+    @pytest.mark.parametrize("failing_chunk", [0, 1, 2])
+    def test_error_in_a_chunk_reaches_the_caller(self, failing_chunk, monkeypatch):
+        calls = []
+
+        def failing(v, u, pattern):
+            calls.append(len(v))
+            if len(calls) == failing_chunk + 1:
+                raise ValueError("bad chunk")
+            return prune_mvue12_array(v, u[:, 0])
+
+        method = dataclasses.replace(METHODS[EstimatorKind.MVUE12], kernel=failing)
+        monkeypatch.setitem(estimators.METHODS, EstimatorKind.MVUE12, method)
+        values = random_test_blocks(2 * PRUNE_CHUNK_BLOCKS + 3, 2, seed=100)
+        with pytest.raises(ValueError, match="bad chunk"):
+            prune_array(values, EstimatorKind.MVUE12, None, RandomStream(0))
+        # No chunk after the failing one runs.
+        assert calls == [PRUNE_CHUNK_BLOCKS, PRUNE_CHUNK_BLOCKS, 3][: failing_chunk + 1]
+
+    def test_caller_errstate_holds_in_every_chunk(self, monkeypatch):
+        seen = []
+
+        def recording(v, u, pattern):
+            seen.append(np.geterr()["over"])
+            return prune_mvue12_array(v, u[:, 0])
+
+        method = dataclasses.replace(METHODS[EstimatorKind.MVUE12], kernel=recording)
+        monkeypatch.setitem(estimators.METHODS, EstimatorKind.MVUE12, method)
+        values = random_test_blocks(4 * PRUNE_CHUNK_BLOCKS, 2, seed=101)
+        with np.errstate(over="raise"):
+            prune_array(values, EstimatorKind.MVUE12, None, RandomStream(0))
+        assert seen == ["raise"] * 4
 
 
 def test_pruning_and_verify_run_on_the_calling_thread(monkeypatch):
@@ -1029,12 +1081,14 @@ def test_pruning_and_verify_run_on_the_calling_thread(monkeypatch):
     assert seen == {threading.get_ident()}
 
 
-def prune_tensor_peak(kind: EstimatorKind, tmp_path) -> tuple[int, int]:
+def prune_tensor_peak(
+    kind: EstimatorKind, tmp_path, shape=(1024, 1024), block_axis=-1
+) -> tuple[int, int]:
     """Traced peak that prune_tensor allocates on top of the float32 tensor
     it reads, and that tensor's size in bytes."""
     path = tmp_path / "t.nmsp"
-    values = RandomStream(95).normals((1024, 1024)).astype(np.float32)
-    write_tensor(path, BlockedTensor.from_array(values))
+    values = RandomStream(95).normals(shape).astype(np.float32)
+    write_tensor(path, BlockedTensor.from_array(values, block_axis=block_axis))
     pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
     tracemalloc.start()
     try:
@@ -1055,6 +1109,12 @@ class TestPruneTensorMemory:
         # What prune_tensor allocates on top of the tensor it reads: the
         # output, the mask and one chunk's temporaries, no full-size float64.
         peak, payload = prune_tensor_peak(kind, tmp_path)
+        assert peak <= 3 * payload
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_peak_stays_within_three_payloads_on_axis_0(self, kind, tmp_path):
+        # Blocks run down the columns and two rows are left as a tail.
+        peak, payload = prune_tensor_peak(kind, tmp_path, (1026, 1024), block_axis=0)
         assert peak <= 3 * payload
 
 
