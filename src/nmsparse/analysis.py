@@ -16,7 +16,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import Block, BlockMask, SparsityPattern
+from .core import Block, BlockMask, SparsityPattern, _bit_codes
 from .estimators import (
     METHODS,
     EstimatorKind,
@@ -83,7 +83,7 @@ def mc_estimate(
     mse_mean = float(mse_draws.mean())
     mse_se = float(mse_draws.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
 
-    codes = np.packbits(mask, axis=1, bitorder="little")[:, 0]
+    codes = _bit_codes(mask)
     counts = np.bincount(codes, minlength=1 << pattern.m)
     freqs: dict[tuple[int, ...], float] = {}
     for code in np.flatnonzero(counts):

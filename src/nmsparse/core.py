@@ -249,6 +249,16 @@ def merge_axis(
     return BlockedTensor(shape, out, axis)
 
 
+def _bit_codes(flags: np.ndarray) -> np.ndarray:
+    """Per row of a (rows, m) boolean array, the uint8 code with bit i set
+    where column i is true: m steps, cheaper than np.packbits on rows this short."""
+    flags = flags.view(np.uint8)
+    codes = np.zeros(flags.shape[0], dtype=np.uint8)
+    for i in range(flags.shape[1]):
+        codes |= flags[:, i] << i
+    return codes
+
+
 def _coded_split(t: BlockedTensor, m: int, split=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_split_blocks of t plus each block's nonzero bit code (bit i: entry i
     nonzero), kept with the read-only tensor for the pattern check and
@@ -256,10 +266,7 @@ def _coded_split(t: BlockedTensor, m: int, split=None) -> tuple[np.ndarray, np.n
     read-only, may pass them as split = (blocks, tail) instead."""
     if m not in t._split:
         blocks, tail = split or _split_blocks(t, m)
-        nonzero = (blocks != 0.0).view(np.uint8)
-        codes = np.zeros(blocks.shape[0], dtype=np.uint8)
-        for i in range(m):
-            codes |= nonzero[:, i] << i
+        codes = _bit_codes(blocks != 0.0)
         codes.setflags(write=False)
         t._split[m] = (blocks, tail, codes)
     return t._split[m]

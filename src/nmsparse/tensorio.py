@@ -47,6 +47,7 @@ FORMAT_VERSION = 1
 DTYPE_FLOAT32 = 0
 
 _INDEX_BITS = {2: 1, 4: 2, 8: 3}
+_NOT_ASCENDING = 0xFFFF  # above every m-bit keep code
 
 
 class TensorFormatError(ValueError):
@@ -241,15 +242,33 @@ def _code_tables(pattern: SparsityPattern) -> tuple[np.ndarray, np.ndarray]:
     return keep, packed
 
 
-def _unpack_positions(indices: np.ndarray, m: int, kept: int) -> np.ndarray:
-    bits = _INDEX_BITS[m]
-    codes = np.zeros(indices.shape[0], dtype=np.uint32)
+@functools.lru_cache(maxsize=None)
+def _field_codes(pattern: SparsityPattern) -> np.ndarray:
+    """The packed table inverted, built on the first decode, never by
+    compress (2^21 entries for 1:8): per value of an index field's used
+    bits, the keep code (bit i: position i kept) that packs to it, or
+    _NOT_ASCENDING if its positions are not strictly ascending."""
+    packed = _code_tables(pattern)[1]
+    full = np.flatnonzero(NONZERO_COUNTS[: 1 << pattern.m] == pattern.kept)
+    inverse = np.full(1 << _INDEX_BITS[pattern.m] * pattern.kept, _NOT_ASCENDING, dtype=np.uint16)
+    inverse[[int.from_bytes(packed[code], "little") for code in full]] = full
+    inverse.flags.writeable = False
+    return inverse
+
+
+def _keep_codes(pattern: SparsityPattern, indices: np.ndarray, error=ValueError) -> np.ndarray:
+    """Each block's keep code, looked up by the used bits of its index field
+    (the padding bits above them are ignored); raises error if a field's
+    positions are not strictly ascending."""
+    table = _field_codes(pattern)
+    fields = np.zeros(indices.shape[0], dtype=np.min_scalar_type(len(table) - 1))
     for b in range(indices.shape[1]):
-        codes |= indices[:, b].astype(np.uint32) << (8 * b)
-    positions = np.zeros((indices.shape[0], kept), dtype=np.int64)
-    for k in range(kept):
-        positions[:, k] = (codes >> (bits * k)) & ((1 << bits) - 1)
-    return positions
+        fields |= indices[:, b].astype(fields.dtype, copy=False) << (8 * b)
+    fields &= len(table) - 1
+    codes = np.take(table, fields)
+    if np.any(codes == _NOT_ASCENDING):
+        raise error("corrupt position indices")
+    return codes
 
 
 def compress(t: BlockedTensor, pattern: SparsityPattern) -> CompressedSparseTensor:
@@ -282,12 +301,12 @@ def compress(t: BlockedTensor, pattern: SparsityPattern) -> CompressedSparseTens
 
 
 def decompress(c: CompressedSparseTensor) -> BlockedTensor:
-    """Expand back to a dense float32 tensor holding the stored values."""
+    """Expand back to a dense float32 tensor holding the stored values;
+    raises ValueError if a block's index field is corrupt."""
     m = c.pattern.m
+    keep = np.take(_code_tables(c.pattern)[0], _keep_codes(c.pattern, c.indices), axis=0)
     blocked = np.zeros((c.num_blocks, m), dtype=np.float32)
-    if c.num_blocks > 0:
-        positions = _unpack_positions(c.indices, m, c.pattern.kept)
-        np.put_along_axis(blocked, positions, c.values, axis=1)
+    blocked.reshape(-1)[np.flatnonzero(keep)] = c.values.reshape(-1)
     axis_len = c.shape[c.block_axis]
     tail = DenseTail(c.tail, m, axis_len // m)
     blocked.setflags(write=False)
@@ -296,16 +315,8 @@ def decompress(c: CompressedSparseTensor) -> BlockedTensor:
 
 def write_compressed(path, c: CompressedSparseTensor) -> None:
     """Write a compressed tensor file, atomically."""
-    header = struct.pack(
-        "<4sHHHHHH",
-        COMPRESSED_MAGIC,
-        FORMAT_VERSION,
-        DTYPE_FLOAT32,
-        c.pattern.n,
-        c.pattern.m,
-        c.block_axis,
-        len(c.shape),
-    )
+    header = struct.pack("<4sHHHHHH", COMPRESSED_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32,
+                         c.pattern.n, c.pattern.m, c.block_axis, len(c.shape))
     header += struct.pack(f"<{len(c.shape)}Q", *c.shape)
     _write_atomic(path, (header, np.ascontiguousarray(c.values, dtype="<f4"),
                          np.ascontiguousarray(c.indices), np.ascontiguousarray(c.tail, dtype="<f4")))
@@ -348,14 +359,5 @@ def read_compressed(path) -> CompressedSparseTensor:
             raise TensorFormatError("trailing bytes after payload")
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(tail))):
         raise TensorFormatError("payload contains non-finite values")
-    positions = _unpack_positions(indices, m, pattern.kept)
-    if np.any(positions >= m) or np.any(np.diff(positions, axis=1) <= 0):
-        raise TensorFormatError("corrupt position indices")
-    return CompressedSparseTensor(
-        pattern=pattern,
-        shape=shape,
-        block_axis=block_axis,
-        values=values,
-        indices=indices,
-        tail=tail,
-    )
+    _keep_codes(pattern, indices, TensorFormatError)
+    return CompressedSparseTensor(pattern, shape, block_axis, values, indices, tail)

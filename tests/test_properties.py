@@ -188,3 +188,39 @@ def test_12_variance_is_the_product_of_magnitudes(e0, e1, m0, m1):
     want = abs(values[0, 0] * values[0, 1])
     var = elementwise_variance_array(values, EstimatorKind.MVUE12)[0]
     assert np.all(np.abs(var - want) <= 4 * np.spacing(want))
+
+
+# Any finite float32 value, with zeros, subnormals and both ends of the range.
+ANY_FINITE32 = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1.0, -1.0, 3.4e38, -3.4e38, 1e-45, -1e-40]),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+)
+
+
+@FIXED
+@given(
+    kind=st.sampled_from([EstimatorKind.MVUE12, EstimatorKind.MVUE24_EXACT, EstimatorKind.MVUE24_APPROX]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    data=st.data(),
+    k=st.integers(-1000, 1000),
+    seed=st.integers(0, 2**32),
+)
+def test_a_block_within_the_pattern_comes_back_unchanged(kind, dtype, data, k, seed):
+    # A block with at most kept nonzeros keeps them all with probability 1,
+    # so the unbiased samplers return each nonzero bit for bit (a dropped
+    # -0.0 may come back as 0.0): float32 blocks from the whole float32
+    # range, float64 blocks at any power-of-two scale.
+    pattern = pattern_of(kind)
+    if dtype is np.float32:
+        values = data.draw(blocks(pattern.m, ANY_FINITE32)).astype(np.float32)
+    else:
+        values = np.ldexp(data.draw(blocks(pattern.m, SCALABLE)), k)
+    for row in values:
+        kept = data.draw(st.sets(st.integers(0, pattern.m - 1), max_size=pattern.kept))
+        row[[i for i in range(pattern.m) if i not in kept]] = 0.0
+    out = prune_array(values, kind, pattern, RandomStream(seed))[0]
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, values)
+    bits, nonzero = f"u{out.itemsize}", values != 0.0
+    np.testing.assert_array_equal(out[nonzero].view(bits), values[nonzero].view(bits))

@@ -18,12 +18,14 @@ from nmsparse.core import (
 from nmsparse.estimators import EstimatorKind, prune_greedy_array, prune_tensor
 from nmsparse.rng import RandomStream
 from nmsparse.tensorio import (
+    _NOT_ASCENDING,
     COMPRESSED_MAGIC,
     DTYPE_FLOAT32,
     FORMAT_VERSION,
     TENSOR_MAGIC,
     CompressedSparseTensor,
     TensorFormatError,
+    _field_codes,
     compress,
     decompress,
     index_bytes_per_block,
@@ -36,6 +38,7 @@ from nmsparse.tensorio import (
 P12 = SparsityPattern(1, 2)
 P24 = SparsityPattern(2, 4)
 P48 = SparsityPattern(4, 8)
+ALL_PATTERNS = [SparsityPattern(n, m) for m in SUPPORTED_BLOCK_LENGTHS for n in range(1, m)]
 
 
 def f32_tensor(shape, seed, block_axis=-1):
@@ -405,6 +408,12 @@ class TestCompressedFiles:
         with pytest.raises(TensorFormatError, match="position"):
             read_compressed(path)
 
+    def test_decompress_refuses_a_corrupt_field_in_memory(self):
+        # Positions (1, 1) would write both values to one slot.
+        c = CompressedSparseTensor(P24, (1, 4), 1, [[1.0, 2.0]], [[0b0101]], np.zeros((1, 0)))
+        with pytest.raises(ValueError, match="position"):
+            decompress(c)
+
     def test_non_finite_values_rejected(self, tmp_path):
         path = self.roundtrip(tmp_path, P24, (1, 4))
         raw = bytearray(path.read_bytes())
@@ -435,6 +444,54 @@ class TestCompressedFiles:
         out = decompress(read_compressed(path))
         assert out.data.dtype == np.float32
         assert out == pruned
+
+
+def rule_positions(pattern: SparsityPattern, fields: np.ndarray):
+    """The position rule the table encodes: each field unpacked into kept
+    positions, valid if they are below m and strictly ascending."""
+    bits = (pattern.m - 1).bit_length()
+    positions = np.stack(
+        [(fields >> bits * k & (1 << bits) - 1).astype(np.uint8) for k in range(pattern.kept)], axis=1
+    )
+    ascending = np.all(positions[:, 1:] > positions[:, :-1], axis=1)
+    return positions, ascending & np.all(positions < pattern.m, axis=1)
+
+
+def field_bytes(fields: np.ndarray, nbytes: int) -> np.ndarray:
+    return np.stack([fields >> 8 * b & 0xFF for b in range(nbytes)], axis=1).astype(np.uint8)
+
+
+class TestIndexFields:
+    """Decoding through the pattern's code table accepts exactly the fields
+    whose positions are strictly ascending, ignores the padding bits and
+    puts each stored value at its position."""
+
+    @pytest.mark.parametrize("pattern", ALL_PATTERNS, ids=str)
+    def test_every_field_value(self, tmp_path, pattern):
+        m, nbytes = pattern.m, index_bytes_per_block(pattern)
+        used = (m - 1).bit_length() * pattern.kept
+        fields = np.arange(1 << used, dtype=np.uint32)
+        positions, valid = rule_positions(pattern, fields)
+        np.testing.assert_array_equal(_field_codes(pattern) != _NOT_ASCENDING, valid)
+        rejected = np.flatnonzero(~valid)
+        # Every rejected field of m <= 4, about 32 of each m = 8 pattern.
+        rejected = rejected[:: max(1, len(rejected) // 32)]
+        values = np.tile(np.arange(1, pattern.kept + 1, dtype=np.float32), (int(valid.sum()), 1))
+        want = np.zeros((len(values), m), dtype=np.float32)
+        np.put_along_axis(want, positions[valid].astype(np.intp), values, axis=1)
+        path = tmp_path / "f.nmsc"
+        for padding in (0, (1 << 8 * nbytes) - (1 << used)):
+            indices = field_bytes(fields[valid] | padding, nbytes)
+            c = CompressedSparseTensor(pattern, want.shape, 1, values, indices, np.zeros((len(want), 0)))
+            write_compressed(path, c)
+            np.testing.assert_array_equal(decompress(read_compressed(path)).as_array(), want)
+            for field in field_bytes(fields[rejected] | padding, nbytes):
+                c = CompressedSparseTensor(pattern, (1, m), 1, values[:1], [field], np.zeros((1, 0)))
+                with pytest.raises(ValueError, match="position"):
+                    decompress(c)
+                write_compressed(path, c)
+                with pytest.raises(TensorFormatError, match="position"):
+                    read_compressed(path)
 
 
 # A zero dimension next to others that multiply beyond what numpy can hold:
@@ -499,14 +556,15 @@ class TestCraftedShapes:
             read_tensor(path)
 
 
-def fuzzed(raw: bytes, header_bytes: int):
-    """raw cut at every byte, then with each bit of its header flipped."""
+def fuzzed(raw: bytes, *flip_spans: range):
+    """raw cut at every byte, then with each bit of the bytes in flip_spans flipped."""
     for end in range(len(raw)):
         yield raw[:end]
-    for bit in range(8 * header_bytes):
-        flipped = bytearray(raw)
-        flipped[bit // 8] ^= 1 << bit % 8
-        yield bytes(flipped)
+    for offset in (offset for span in flip_spans for offset in span):
+        for bit in range(8):
+            flipped = bytearray(raw)
+            flipped[offset] ^= 1 << bit
+            yield bytes(flipped)
 
 
 class TestHeaderFuzz:
@@ -518,7 +576,7 @@ class TestHeaderFuzz:
         src, path, out = tmp_path / "t.nmsp", tmp_path / "f.nmsp", tmp_path / "o.nmsp"
         write_tensor(src, f32_tensor((3, 4, 5), seed=16))
         raw, header = src.read_bytes(), 10 + 3 * 8
-        for data in fuzzed(raw, header):
+        for data in fuzzed(raw, range(header)):
             path.write_bytes(data)
             try:
                 read_tensor(path)
@@ -531,16 +589,23 @@ class TestHeaderFuzz:
                 assert prune_cli(path, out) == want
 
     def test_compressed_file(self, tmp_path):
+        # Index bits are flipped too: a file that still reads decompresses
+        # to blocks that hold each stored value exactly once.
         src, path = tmp_path / "t.nmsc", tmp_path / "f.nmsc"
         pruned = prune_tensor(f32_tensor((3, 4, 5), seed=17), EstimatorKind.GREEDY_MSE, P24)
-        write_compressed(src, compress(pruned, P24))
-        for data in fuzzed(src.read_bytes(), 16 + 3 * 8):
+        c = compress(pruned, P24)
+        write_compressed(src, c)
+        header = 16 + 3 * 8
+        indices = range(header + c.values.nbytes, header + c.values.nbytes + c.indices.nbytes)
+        for data in fuzzed(src.read_bytes(), range(header), indices):
             path.write_bytes(data)
             try:
                 c = read_compressed(path)
             except TensorFormatError:
                 continue
-            decompress(c)
+            blocks = split_axis(decompress(c), c.pattern.m)[0]
+            stored = np.concatenate([c.values, np.zeros((c.num_blocks, c.pattern.n))], axis=1)
+            np.testing.assert_array_equal(np.sort(blocks, axis=1), np.sort(stored, axis=1))
 
 
 class FailingPayloadFile:
