@@ -9,7 +9,6 @@ from .core import (
     Block,
     BlockMask,
     BlockedTensor,
-    DenseTail,
     SparsityPattern,
     pattern_violations,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "BlockMask",
     "BlockedTensor",
     "CompressedSparseTensor",
-    "DenseTail",
     "EstimatorKind",
     "McReport",
     "MlpConfig",

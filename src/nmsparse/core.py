@@ -8,6 +8,7 @@ that is carried through unpruned (never padded).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -157,94 +158,70 @@ class BlockedTensor:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DenseTail:
-    """Remainder elements of each lane after whole blocks are taken.
-
-    ``values`` has shape (lanes, remainder); a remainder of zero means the
-    axis divided evenly. The tail is carried dense and never pruned.
-    """
-
-    values: np.ndarray
-    block_len: int
-    blocks_per_lane: int
-
-    def __post_init__(self):
-        arr = _float_data(self.values)
-        if arr.ndim != 2:
-            raise ValueError("tail values must be 2-D (lanes, remainder)")
-        if not 0 <= arr.shape[1] < self.block_len:
-            raise ValueError(f"remainder {arr.shape[1]} out of range for block length {self.block_len}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def lanes(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def remainder(self) -> int:
-        return int(self.values.shape[1])
-
-    @property
-    def is_empty(self) -> bool:
-        return self.values.size == 0
+def _lane_blocks(arr: np.ndarray, axis: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a C-contiguous array's whole length-m blocks along axis, as
+    (lanes before the axis, lanes after it, blocks per lane, m), and of its
+    tail, as (lanes before, lanes after, remainder). A lane is one run along
+    the axis with every other index fixed; in row-major order both views
+    run lane by lane. With no whole block the block view is (0, 0, 0, m):
+    numpy refuses some empty arrays of (before, after, 0, m)."""
+    before, length = math.prod(arr.shape[:axis]), arr.shape[axis]
+    after, whole = math.prod(arr.shape[axis + 1 :]), length - length % m
+    lanes = arr.reshape(before, length, after)
+    tail = lanes[:, whole:].transpose(0, 2, 1)
+    if whole == 0:
+        return arr.reshape(-1)[:0].reshape(0, 0, 0, m), tail
+    return lanes[:, :whole].reshape(before, whole // m, m, after).transpose(0, 3, 1, 2), tail
 
 
 def _split_blocks(t: BlockedTensor, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Whole blocks (num_blocks, m) and tail (lanes, remainder) of split_axis;
-    the blocks are a view of t.data if the axis is innermost and divides by m."""
-    moved = np.moveaxis(t.as_array(), t.block_axis, -1)
-    lanes = int(np.prod(moved.shape[:-1], dtype=np.int64))
-    whole = moved.shape[-1] - moved.shape[-1] % m
-    blocks = np.ascontiguousarray(moved[..., :whole]).reshape(lanes * whole // m, m)
-    return blocks, moved[..., whole:].reshape(lanes, moved.shape[-1] - whole)
+    """_lane_blocks of t's values, the tail reshaped to (lanes, remainder)."""
+    blocks, tail = _lane_blocks(t.as_array(), t.block_axis, m)
+    return blocks, tail.reshape(tail.shape[0] * tail.shape[1], tail.shape[2])
 
 
-def split_axis(t: BlockedTensor, m: int) -> tuple[np.ndarray, DenseTail]:
-    """Array form of block splitting: (num_blocks, m) plus the dense tail.
+def split_axis(t: BlockedTensor, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of block splitting: blocks (num_blocks, m) and the dense
+    tail (lanes, remainder), carried unpruned.
 
     Blocks are ordered lane-major: all blocks of the first lane, then the
     second, and so on, with lanes enumerated in row-major order of the
-    non-blocked dimensions. They are a read-only view of t.data when the
-    block axis is innermost and divides by m.
+    non-blocked dimensions. Each is a read-only view of t.data where it can
+    be: the blocks when the block axis is innermost and divides by m.
     """
     if m not in SUPPORTED_BLOCK_LENGTHS:
         raise ValueError(f"unsupported block length m={m}")
     if not np.all(np.isfinite(t.data)):
         raise ValueError("non-finite data cannot be split into blocks")
     blocks, tail = _split_blocks(t, m)
-    return blocks, DenseTail(tail, m, t.shape[t.block_axis] // m)
+    return blocks.reshape(-1, m), tail
 
 
 def merge_axis(
-    blocks: np.ndarray, tail: DenseTail, shape: Sequence[int], block_axis: int
+    blocks: np.ndarray, tail: np.ndarray, shape: Sequence[int], block_axis: int
 ) -> BlockedTensor:
-    """Inverse of split_axis; validates counts against the target shape."""
+    """Inverse of split_axis; validates blocks (num_blocks, m) and tail
+    (lanes, remainder) against the target shape."""
     shape = tuple(int(s) for s in shape)
     ndim = len(shape)
     if ndim == 0 or not -ndim <= block_axis < ndim:
         raise ValueError(f"block_axis {block_axis} out of range for shape {shape}")
     axis = block_axis % ndim
-    axis_len = shape[axis]
-    m = tail.block_len
-    blocks_per_lane, remainder = divmod(axis_len, m)
-    lead_shape = shape[:axis] + shape[axis + 1 :]
-    lanes = int(np.prod(lead_shape, dtype=np.int64))
-    blocks = _float_data(blocks)
-    if blocks.ndim != 2 or blocks.shape != (lanes * blocks_per_lane, m):
-        raise ValueError(
-            f"expected blocks of shape {(lanes * blocks_per_lane, m)}, got {blocks.shape}"
-        )
-    if tail.blocks_per_lane != blocks_per_lane or tail.values.shape != (lanes, remainder):
-        raise ValueError("tail does not match the target shape")
+    blocks, tail = _float_data(blocks), _float_data(tail)
+    if blocks.ndim != 2 or blocks.shape[1] not in SUPPORTED_BLOCK_LENGTHS:
+        raise ValueError(f"expected blocks of shape (num_blocks, m), got {blocks.shape}")
+    m = blocks.shape[1]
+    blocks_per_lane, remainder = divmod(shape[axis], m)
+    lanes = math.prod(shape[:axis] + shape[axis + 1 :])
+    if blocks.shape[0] != lanes * blocks_per_lane or tail.shape != (lanes, remainder):
+        raise ValueError(f"blocks {blocks.shape} and tail {tail.shape} do not match shape {shape}"
+                         f" on axis {axis}: expected {(lanes * blocks_per_lane, m)} and {(lanes, remainder)}")
     if remainder == 0 and axis == ndim - 1:
         return BlockedTensor(shape, blocks, axis)
-    out = np.empty(shape, dtype=np.result_type(blocks, tail.values))
-    moved = np.moveaxis(out, axis, -1)
-    moved[..., : axis_len - remainder] = blocks.reshape(lead_shape + (axis_len - remainder,))
-    moved[..., axis_len - remainder :] = tail.values.reshape(lead_shape + (remainder,))
+    out = np.empty(shape, dtype=np.result_type(blocks, tail))
+    whole, rest = _lane_blocks(out, axis, m)
+    whole[...] = blocks.reshape(whole.shape)
+    rest[...] = tail.reshape(rest.shape)
     out.setflags(write=False)
     return BlockedTensor(shape, out, axis)
 
@@ -259,16 +236,21 @@ def _bit_codes(flags: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _coded(blocks: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blocks as (num_blocks, m), the tail, and each block's nonzero bit code
+    (bit i: entry i nonzero), read-only: the form _coded_split keeps."""
+    blocks = blocks.reshape(-1, blocks.shape[-1])
+    codes = _bit_codes(blocks != 0.0)
+    codes.setflags(write=False)
+    return blocks, tail, codes
+
+
 def _coded_split(t: BlockedTensor, m: int, split=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_split_blocks of t plus each block's nonzero bit code (bit i: entry i
-    nonzero), kept with the read-only tensor for the pattern check and
-    compress to share. A producer that holds t's values in block layout,
-    read-only, may pass them as split = (blocks, tail) instead."""
+    """_coded of t's _split_blocks, kept with the read-only tensor for the
+    pattern check and compress to share. A producer that holds t's values
+    in block layout, read-only, may pass their _coded as split instead."""
     if m not in t._split:
-        blocks, tail = split or _split_blocks(t, m)
-        codes = _bit_codes(blocks != 0.0)
-        codes.setflags(write=False)
-        t._split[m] = (blocks, tail, codes)
+        t._split[m] = split or _coded(*_split_blocks(t, m))
     return t._split[m]
 
 

@@ -28,6 +28,7 @@ treat a kept value of a zero entry as exact zero and use the convention
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,10 +36,10 @@ import numpy as np
 
 from .core import (
     BlockedTensor,
-    DenseTail,
     SparsityPattern,
-    _float_data,
+    _coded,
     _coded_split,
+    _float_data,
     _split_blocks,
     merge_axis,
 )
@@ -742,24 +743,29 @@ def prune_array(
     pattern: SparsityPattern | None = None,
     stream: RandomStream | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Prune a (num_blocks, m) array with the given method.
+    """Prune a (..., m) array of blocks, read in row-major order, such as a
+    tensor's lane view from core._lane_blocks, with the given method.
 
-    Returns (pruned values, keep mask), the values in the input's dtype,
-    float32 or float64. The kernel runs on chunks of PRUNE_CHUNK_BLOCKS
-    blocks, one at a time on the calling thread, each drawing its uniforms
-    in chunk order: exactly the uniforms of one draw. Stochastic kernels
+    Returns (pruned values, keep mask) of the input's shape, the values in
+    its dtype, float32 or float64. The kernel runs on chunks of at most
+    PRUNE_CHUNK_BLOCKS blocks, whole lanes or part of one, one at a time,
+    each copied only if it is not one (n, m) view and each drawing its
+    uniforms in turn: exactly the uniforms of one draw. Stochastic kernels
     widen each chunk to float64. A float64 block out of the kernels' range
     is drawn at a power-of-two scale and its survivors scaled back, so
     every draw is exact at every finite scale; a survivor beyond float64
     is +-inf.
     """
     pattern = resolve_pattern(kind, pattern)
-    values = _float_blocks(values, pattern.m)
+    values = _float_data(values)
+    if values.ndim < 2 or values.shape[-1] != pattern.m:
+        raise ValueError(f"expected a (..., {pattern.m}) array of blocks, got shape {values.shape}")
     method = METHODS[kind]
     if method.draws and stream is None:
         raise ValueError(f"method {kind.value!r} is stochastic and needs a RandomStream")
 
     def kernel(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        part = part.reshape(-1, pattern.m)
         u = stream.uniforms((len(part), method.draws)) if method.draws else None
         try:
             return method.kernel(part, u, pattern)
@@ -768,19 +774,30 @@ def prune_array(
             out, mask = method.kernel(part, u, pattern)
             return _unscale(out, exponent), mask
 
-    if len(values) <= PRUNE_CHUNK_BLOCKS:
+    if values.size <= PRUNE_CHUNK_BLOCKS * pattern.m:
         part, mask = kernel(values)
         # Survivors may overflow float32; the file writers refuse non-finite data.
         with np.errstate(over="ignore"):
-            return part.astype(values.dtype, copy=False), mask
-    # The samplers lay their output out like their input, greedy row-major.
-    out = np.empty_like(values, order="C" if kind is EstimatorKind.GREEDY_MSE else "K")
+            part = part.astype(values.dtype, copy=False)
+        return part.reshape(values.shape), mask.reshape(values.shape)
+    # The samplers lay a block matrix's output out like their input, greedy row-major.
+    matrix_layout = values.ndim == 2 and kind is not EstimatorKind.GREEDY_MSE
+    out = np.empty_like(values, order="K" if matrix_layout else "C")
     mask = np.empty(values.shape, dtype=bool)
-    for start in range(0, len(values), PRUNE_CHUNK_BLOCKS):
-        rows = slice(start, start + PRUNE_CHUNK_BLOCKS)
-        part, mask[rows] = kernel(values[rows])
-        with np.errstate(over="ignore"):
-            out[rows] = part
+    # Chunks slice one dimension of the blocks' layout, the ones after it whole.
+    lead = values.shape[:-1]
+    axis = len(lead) - 1
+    while axis and math.prod(lead[axis:]) <= PRUNE_CHUNK_BLOCKS:
+        axis -= 1
+    step = PRUNE_CHUNK_BLOCKS // math.prod(lead[axis + 1 :])
+    for outer in np.ndindex(*lead[:axis]):
+        for start in range(0, lead[axis], step):
+            rows = (*outer, slice(start, start + step))
+            chunk = values[rows]
+            part, part_mask = kernel(chunk)
+            mask[rows] = part_mask.reshape(chunk.shape)
+            with np.errstate(over="ignore"):
+                out[rows] = part.reshape(chunk.shape)
     return out, mask
 
 
@@ -793,13 +810,15 @@ def prune_tensor(
     """Prune every whole block along t.block_axis; the tail passes through.
 
     Keeps the dtype of t.data, which must be finite (read_tensor checks).
+    The blocks are pruned from a view of t, a chunk at a time.
     """
     pattern = resolve_pattern(kind, pattern)
     blocks, tail = _split_blocks(t, pattern.m)
-    if blocks.shape[0] > 0:
-        blocks, _ = prune_array(blocks, kind, pattern, stream)
-        blocks.setflags(write=False)
-    tail = DenseTail(tail, pattern.m, t.shape[t.block_axis] // pattern.m)
-    out = merge_axis(blocks, tail, t.shape, t.block_axis)
-    _coded_split(out, pattern.m, (blocks, tail.values))  # no second split
+    if blocks.size:
+        blocks = prune_array(blocks, kind, pattern, stream)[0]
+    blocks.setflags(write=False)
+    # Coded before the merge allocates the output: their temporaries never meet.
+    split = _coded(blocks, tail)
+    out = merge_axis(split[0], tail, t.shape, t.block_axis)
+    _coded_split(out, pattern.m, split)  # no second split
     return out

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NONZERO_COUNTS, BlockedTensor, DenseTail, SparsityPattern, _coded_split, merge_axis
+from .core import NONZERO_COUNTS, BlockedTensor, SparsityPattern, _coded_split, merge_axis
 
 TENSOR_MAGIC = b"NMSP"
 COMPRESSED_MAGIC = b"NMSC"
@@ -302,15 +302,14 @@ def compress(t: BlockedTensor, pattern: SparsityPattern) -> CompressedSparseTens
 
 def decompress(c: CompressedSparseTensor) -> BlockedTensor:
     """Expand back to a dense float32 tensor holding the stored values;
-    raises ValueError if a block's index field is corrupt."""
+    raises ValueError if a block's index field is corrupt or the block and
+    tail counts do not match the shape."""
     m = c.pattern.m
     keep = np.take(_code_tables(c.pattern)[0], _keep_codes(c.pattern, c.indices), axis=0)
     blocked = np.zeros((c.num_blocks, m), dtype=np.float32)
     blocked.reshape(-1)[np.flatnonzero(keep)] = c.values.reshape(-1)
-    axis_len = c.shape[c.block_axis]
-    tail = DenseTail(c.tail, m, axis_len // m)
     blocked.setflags(write=False)
-    return merge_axis(blocked, tail, c.shape, c.block_axis)
+    return merge_axis(blocked, c.tail, c.shape, c.block_axis)
 
 
 def write_compressed(path, c: CompressedSparseTensor) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BlockedTensor, SparsityPattern, pattern_violations
+from .core import BlockedTensor, SparsityPattern, _lane_blocks, pattern_violations
 from .estimators import (
     PATTERN_24,
     EstimatorKind,
@@ -124,17 +124,14 @@ def _mask_rows(
     pattern: SparsityPattern,
     stream: RandomStream | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Prune whole blocks along the feature axis with prune_array; the
-    remainder columns pass through unpruned with a True keep flag."""
-    rows, cols = mat.shape
-    whole = cols - cols % pattern.m
-    keep = np.ones(mat.shape, dtype=bool)
-    out = mat.copy()
-    if whole:
-        head = mat[:, :whole].reshape(-1, pattern.m)
-        pruned, mask = prune_array(head, kind, pattern, stream)
-        out[:, :whole] = pruned.reshape(rows, whole)
-        keep[:, :whole] = mask.reshape(rows, whole)
+    """Prune whole blocks along the feature axis with prune_array, in place
+    in a copy of mat; the remainder columns pass through unpruned with a
+    True keep flag."""
+    out, keep = mat.copy(), np.ones(mat.shape, dtype=bool)
+    blocks = _lane_blocks(out, 1, pattern.m)[0]
+    if blocks.size:
+        blocks[...], mask = prune_array(blocks, kind, pattern, stream)
+        keep[:, : mask[0].size] = mask.reshape(len(mat), -1)
     return out, keep
 
 
@@ -315,10 +312,9 @@ def masked_gradient_check(
             break
         update(inputs, grads)
 
-    whole = captured.shape[1] - captured.shape[1] % pattern.m
-    if whole == 0:
+    blocks = _lane_blocks(captured, 1, pattern.m)[0].reshape(-1, pattern.m)
+    if blocks.size == 0:
         raise ValueError(f"layer {layer} has no whole {pattern} blocks")
-    blocks = captured[:, :whole].reshape(-1, pattern.m)
     # All-zero blocks (dead units) are reproduced exactly by every method
     # and carry no information; check only the live ones.
     blocks = blocks[np.any(blocks != 0.0, axis=1)]
@@ -329,9 +325,8 @@ def masked_gradient_check(
     total = np.zeros_like(blocks)
     for done in range(0, redraws, chunk):
         count = min(chunk, redraws - done)
-        tiled = np.broadcast_to(blocks, (count, *blocks.shape)).reshape(-1, pattern.m)
-        pruned, _ = prune_array(tiled, kind, pattern, stream)
-        total += pruned.reshape(count, *blocks.shape).sum(axis=0)
+        tiled = np.broadcast_to(blocks, (count, *blocks.shape))
+        total += prune_array(tiled, kind, pattern, stream)[0].sum(axis=0)
 
     mean = total / redraws
     se = np.sqrt(elementwise_variance_array(blocks, kind) / redraws)

@@ -5,7 +5,6 @@ from nmsparse.core import (
     Block,
     BlockMask,
     BlockedTensor,
-    DenseTail,
     SparsityPattern,
     merge_axis,
     pattern_violations,
@@ -105,7 +104,7 @@ class TestSplitMerge:
         t = BlockedTensor.from_array(np.arange(24.0).reshape(2, 12))
         blocks, tail = split_axis(t, 4)
         assert len(blocks) == 6
-        assert tail.is_empty and tail.remainder == 0
+        assert tail.shape == (2, 0)
         np.testing.assert_array_equal(blocks[0], [0.0, 1.0, 2.0, 3.0])
         np.testing.assert_array_equal(blocks[3], [12.0, 13.0, 14.0, 15.0])
 
@@ -113,20 +112,21 @@ class TestSplitMerge:
         t = BlockedTensor.from_array(np.arange(5.0)[None, :])
         blocks, tail = split_axis(t, 4)
         assert len(blocks) == 1
-        assert tail.remainder == 1
-        np.testing.assert_array_equal(tail.values, [[4.0]])
+        assert tail.shape == (1, 1)
+        np.testing.assert_array_equal(tail, [[4.0]])
 
     def test_zero_length_axis(self):
         t = BlockedTensor.from_array(np.zeros((3, 0)))
         blocks, tail = split_axis(t, 4)
         assert blocks.shape == (0, 4)
-        assert tail.lanes == 3 and tail.remainder == 0
+        assert tail.shape == (3, 0)
 
     def test_short_axis_all_tail(self):
         t = BlockedTensor.from_array(np.arange(6.0).reshape(2, 3))
         blocks, tail = split_axis(t, 4)
         assert blocks.shape == (0, 4)
-        assert tail.remainder == 3
+        assert tail.shape == (2, 3)
+        np.testing.assert_array_equal(tail, np.arange(6.0).reshape(2, 3))
 
     def test_split_rejects_non_finite(self):
         t = BlockedTensor((1, 4), np.array([1.0, np.nan, 3.0, 4.0]))
@@ -156,7 +156,9 @@ class TestSplitMerge:
         with pytest.raises(ValueError):
             merge_axis(blocked[:1], tail, t.shape, t.block_axis)
         with pytest.raises(ValueError):
-            merge_axis(blocked, DenseTail(np.zeros((2, 1)), 4, 1), t.shape, t.block_axis)
+            merge_axis(blocked, np.zeros((2, 1)), t.shape, t.block_axis)
+        with pytest.raises(ValueError):
+            merge_axis(blocked, tail.T, t.shape, t.block_axis)
 
     def test_lane_order_is_row_major(self):
         arr = np.arange(12.0).reshape(3, 4)
@@ -164,7 +166,7 @@ class TestSplitMerge:
         # Along axis 0 each lane is a column; lanes are enumerated in order.
         np.testing.assert_array_equal(blocked[0], [0.0, 4.0])
         np.testing.assert_array_equal(blocked[1], [1.0, 5.0])
-        np.testing.assert_array_equal(tail.values[:, 0], [8.0, 9.0, 10.0, 11.0])
+        np.testing.assert_array_equal(tail[:, 0], [8.0, 9.0, 10.0, 11.0])
 
 
 class TestPatternViolations:

@@ -5,21 +5,29 @@ each checks an identity that must hold for every block, over blocks
 drawn from the whole finite float64 range, zeros and ties included.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from nmsparse import estimators
+from nmsparse.core import BlockedTensor, SparsityPattern, _coded_split
 from nmsparse.estimators import (
     METHODS,
     PAIR_INDEX_COLUMNS,
     PATTERN_24,
+    PRUNE_CHUNK_BLOCKS,
     EstimatorKind,
     approx24_pair_probs,
     elementwise_variance_array,
     exact24_marginal_probs,
     exact24_pair_probs,
     prune_array,
+    prune_tensor,
 )
 from nmsparse.rng import RandomStream
 
@@ -224,3 +232,68 @@ def test_a_block_within_the_pattern_comes_back_unchanged(kind, dtype, data, k, s
     np.testing.assert_array_equal(out, values)
     bits, nonzero = f"u{out.itemsize}", values != 0.0
     np.testing.assert_array_equal(out[nonzero].view(bits), values[nonzero].view(bits))
+
+
+def reference_split(t: BlockedTensor, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Whole blocks (num_blocks, m) and tail (lanes, remainder) in lane-major
+    order, read through the block axis moved last and a copy of the whole
+    block region."""
+    moved = np.moveaxis(t.as_array(), t.block_axis, -1)
+    lanes = math.prod(moved.shape[:-1])
+    whole = moved.shape[-1] - moved.shape[-1] % m
+    blocks = np.ascontiguousarray(moved[..., :whole]).reshape(lanes * whole // m, m)
+    return blocks, moved[..., whole:].reshape(lanes, moved.shape[-1] - whole)
+
+
+def reference_prune_tensor(t: BlockedTensor, kind, pattern, stream) -> np.ndarray:
+    """prune_tensor through reference_split: one prune_array call on the
+    copied block region, written back through the moved axes."""
+    out = np.moveaxis(t.as_array(), t.block_axis, -1).copy()
+    blocks, _ = reference_split(t, pattern.m)
+    if blocks.size:
+        head = out[..., : out.shape[-1] - out.shape[-1] % pattern.m]
+        head[...] = prune_array(blocks, kind, pattern, stream)[0].reshape(head.shape)
+    return np.moveaxis(out, -1, t.block_axis)
+
+
+GREEDY_PATTERNS = [SparsityPattern(1, 2), PATTERN_24, SparsityPattern(5, 8)]
+
+
+@settings(FIXED, max_examples=150)
+@given(
+    kind=METHOD,
+    dtype=st.sampled_from([np.float32, np.float64]),
+    chunk=st.sampled_from([1, 3, 16, PRUNE_CHUNK_BLOCKS]),
+    data=st.data(),
+    seed=st.integers(0, 2**32),
+)
+def test_prune_tensor_matches_the_moved_axis_reference(kind, dtype, chunk, data, seed):
+    # Any 1-4-D shape on any axis, with tails and zero-length dimensions, at
+    # any chunk size: the lane view prunes bit for bit as the copy of the
+    # moved block region did, draws as many uniforms, and leaves with the
+    # output the split that a fresh split of a copy reads.
+    if kind is EstimatorKind.GREEDY_MSE:
+        pattern = data.draw(st.sampled_from(GREEDY_PATTERNS))
+    else:
+        pattern = pattern_of(kind)
+    shape = data.draw(array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=6))
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    elements = ANY_FINITE32 if dtype is np.float32 else ANY_FINITE
+    values = data.draw(arrays(np.float64, shape, elements=elements)).astype(dtype)
+    t = BlockedTensor.from_array(values, block_axis=axis)
+    stream, ref_stream = RandomStream(seed), RandomStream(seed)
+    with mock.patch.object(estimators, "PRUNE_CHUNK_BLOCKS", chunk):
+        got = prune_tensor(t, kind, pattern, stream)
+    want = reference_prune_tensor(t, kind, pattern, ref_stream)
+    bits = f"u{values.itemsize}"
+    assert got.data.dtype == dtype and got.shape == t.shape and got.block_axis == t.block_axis
+    np.testing.assert_array_equal(got.as_array().view(bits), want.view(bits))
+    np.testing.assert_array_equal(stream.uniforms(4), ref_stream.uniforms(4))
+
+    fresh = BlockedTensor(got.shape, got.data.copy(), got.block_axis)
+    blocks, tail, codes = got._split[pattern.m]
+    ref_blocks, ref_tail = reference_split(fresh, pattern.m)
+    for cached, fresh_split in ((blocks, ref_blocks), (tail, ref_tail)):
+        assert cached.shape == fresh_split.shape and cached.dtype == fresh_split.dtype
+        np.testing.assert_array_equal(cached.view(bits), fresh_split.view(bits))
+    np.testing.assert_array_equal(codes, _coded_split(fresh, pattern.m)[2])

@@ -272,7 +272,7 @@ def reference_compress(t: BlockedTensor, pattern: SparsityPattern) -> Compressed
     indices = np.zeros((positions.shape[0], index_bytes_per_block(pattern)), dtype=np.uint8)
     for b in range(indices.shape[1]):
         indices[:, b] = (codes >> (8 * b)) & 0xFF
-    return CompressedSparseTensor(pattern, t.shape, t.block_axis, values, indices, tail.values)
+    return CompressedSparseTensor(pattern, t.shape, t.block_axis, values, indices, tail)
 
 
 ALL_PATTERNS = [SparsityPattern(n, m) for m in SUPPORTED_BLOCK_LENGTHS for n in range(1, m)]
@@ -413,6 +413,22 @@ class TestCompressedFiles:
         c = CompressedSparseTensor(P24, (1, 4), 1, [[1.0, 2.0]], [[0b0101]], np.zeros((1, 0)))
         with pytest.raises(ValueError, match="position"):
             decompress(c)
+
+    def test_decompress_refuses_counts_that_disagree_with_the_shape(self):
+        # (2, 6) on axis 1 under 2:4: one block and a 2-wide tail per lane.
+        block, tail = ([[1.0, 2.0]], [[0b0100]]), np.zeros((2, 2))
+        c = CompressedSparseTensor(P24, (2, 6), 1, block[0] * 2, block[1] * 2, tail)
+        assert decompress(c).shape == (2, 6)
+        for values, indices, bad_tail in [
+            (block[0] * 3, block[1] * 3, tail),  # a block too many
+            (block[0], block[1], tail),  # a block too few
+            (block[0] * 2, block[1] * 2, np.zeros((2, 1))),  # a short tail
+            (block[0] * 2, block[1] * 2, np.zeros((2, 6))),  # a tail as long as the axis
+            (block[0] * 2, block[1] * 2, np.zeros((1, 2))),  # a lane too few
+        ]:
+            c = CompressedSparseTensor(P24, (2, 6), 1, values, indices, bad_tail)
+            with pytest.raises(ValueError):
+                decompress(c)
 
     def test_non_finite_values_rejected(self, tmp_path):
         path = self.roundtrip(tmp_path, P24, (1, 4))
