@@ -74,6 +74,8 @@ def mc_estimate(
     stream = RandomStream(seed)
     tiled = np.broadcast_to(block.values, (samples, pattern.m))
     out, mask = prune_array(tiled, kind, pattern, stream)
+    # Each column's draws summed pairwise, whatever prune_array's layout.
+    out = np.asfortranarray(out)
 
     mean = out.mean(axis=0)
     var = out.var(axis=0, ddof=1) if samples > 1 else np.zeros(pattern.m)

@@ -28,6 +28,7 @@ treat a kept value of a zero entry as exact zero and use the convention
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -148,7 +149,7 @@ def _in_range(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _unscale(values: np.ndarray, exponent: np.ndarray | None) -> np.ndarray:
-    """Undo _in_range's scaling of (n, m) blocks; beyond float64 is +-inf."""
+    """Undo _in_range's scaling of (..., n, m) blocks; beyond float64 is +-inf."""
     if exponent is None:
         return values
     with np.errstate(over="ignore"):
@@ -158,6 +159,18 @@ def _unscale(values: np.ndarray, exponent: np.ndarray | None) -> np.ndarray:
 def _magnitude_rows(values: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Magnitudes of (n, m) blocks as contiguous (m, n) rows."""
     return np.abs(values.T, out=np.empty(values.shape[::-1], dtype=dtype))
+
+
+def _where_kept(keep: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """np.where(keep, values, 0.0) bit for bit, with no branch per entry
+    to mispredict: each value's bits under an all-ones or all-zeros mask."""
+    mask = np.negative(keep.view(np.uint8), dtype=f"u{values.itemsize}")
+    return np.bitwise_and(values.view(mask.dtype), mask, out=mask).view(values.dtype)
+
+
+def _from_rows(rows: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """(m, draws, n) rows as a (*lead, n, m) view of blocks."""
+    return rows.transpose(1, 2, 0).reshape(*lead, *rows.shape[2:], rows.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +201,9 @@ def greedy_mask_array(values: np.ndarray, pattern: SparsityPattern) -> np.ndarra
 def prune_greedy_array(
     values: np.ndarray, pattern: SparsityPattern
 ) -> tuple[np.ndarray, np.ndarray]:
+    values = _float_blocks(values, pattern.m)
     mask = greedy_mask_array(values, pattern)
-    return np.where(mask, values, 0.0), mask
+    return _where_kept(mask, values), mask
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +213,8 @@ def prune_greedy_array(
 def prune_mvue12_array(
     values: np.ndarray, u: np.ndarray, proportional: bool = True, rescale: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """1:2 pruning, one uniform per block, on contiguous (2, n) rows.
+    """1:2 pruning, one uniform per block and draw, u of shape (..., n) for
+    (n, 2) blocks, on contiguous (2, n) rows.
 
     With ``proportional`` entry 0 is kept with probability P = |a0| / (|a0|
     + |a1|) (1 for an all-zero block), else by a fair coin. With
@@ -209,6 +224,7 @@ def prune_mvue12_array(
     """
     check = np.asarray(values).dtype == np.float64
     values = _block_matrix(values, 2)
+    lead, u = u.shape[:-1], u.reshape(math.prod(u.shape[:-1]), len(values))
     rows = values.T
     if proportional:
         m0, m1 = _magnitude_rows(values)
@@ -216,22 +232,17 @@ def prune_mvue12_array(
             total = m0 + m1
             if check:  # a subnormal total is an exact sum, P a correctly rounded ratio
                 _check_total(total, low=False)
-            keep0 = u < np.where(total > 0.0, m0 / total, 1.0)
-    else:
-        keep0 = u < 0.5
-    mask = np.empty(values.shape, dtype=bool)
-    keep = mask.T
-    keep[0] = keep0
-    np.logical_not(keep0, out=keep[1])
+            share = np.where(total > 0.0, m0 / total, 1.0)
+    keep = np.empty((2, *u.shape), dtype=bool)
+    np.less(u, share if proportional else 0.5, out=keep[0])
+    np.logical_not(keep[0], out=keep[1])
     if not rescale:
         survivors = rows
     elif proportional:
         survivors = np.sign(rows) * total
     else:
         survivors = 2.0 * rows
-    out = np.empty_like(values)
-    out.T[...] = np.where(keep, survivors, 0.0)
-    return out, mask
+    return _from_rows(_where_kept(keep, survivors[:, None]), lead), _from_rows(keep, lead)
 
 
 def _proportional12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,9 +278,11 @@ def mvue12_selection_probs(values: np.ndarray) -> np.ndarray:
 # Kept entries are rescaled by the inverse of their marginal probability,
 # which has a closed form: in regimes 1-2 both survivors become +-S/2; in
 # regime 3 the max keeps its value +-b4 and the partner becomes
-# +-(b1 + b2 + b3). At a regime boundary the adjacent formulas give
-# identical distributions, so routing boundaries to the lower-numbered
-# regime is arbitrary.
+# +-(b1 + b2 + b3). So every survivor is sign(a) max(scale, |a|), scale
+# as below: in regimes 1-2 each b_k <= b4 <= b1 + b2 + b3, so b_k <= S/2,
+# and in regime 3 b1, b2, b3 <= b1 + b2 + b3 < b4. At a regime boundary
+# the adjacent formulas give identical distributions, so routing
+# boundaries to the lower-numbered regime is arbitrary.
 #
 # Scaled by S/2 in regimes 1-2 and by b1 + b2 + b3 in regime 3, the running
 # sums of the six pair probabilities (in PAIR_INDEX_COLUMNS order) are
@@ -325,8 +338,8 @@ def _sort4(mags_t: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
 
 
 def _exact24_sums(mags_t: np.ndarray, check: bool = False):
-    """(ranks, b4, scale, running sums, all-zero blocks or None, blocks
-    with three zeros) of (4, n) magnitude rows, as in the comment above;
+    """(ranks, scale, running sums, all-zero blocks or None, blocks with
+    three zeros) of (4, n) magnitude rows, as in the comment above;
     the four running sums after the leading 0 are scaled like ``scale``,
     which is the last one. With ``check``, a block whose largest
     magnitude b4 is out of range raises before any sum can overflow."""
@@ -341,21 +354,21 @@ def _exact24_sums(mags_t: np.ndarray, check: bool = False):
     scale = np.where(b4 > small, small, 0.5 * (small + b4))
     middle = np.maximum(np.minimum(2.0 * b2 + b3 - b4, 2.0 * (small - b4)), 0.0)
     sums = (0.25 * np.maximum(2.0 * b1 + b3 - b4, 0.0), b1, b1 + 0.25 * middle, b1 + b2)
-    return ranks, b4, scale, sums, all_zero, (small == 0.0) & (b4 > 0.0)
+    return ranks, scale, sums, all_zero, (small == 0.0) & (b4 > 0.0)
 
 
-def prune_mvue24_exact_array(
-    values: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-variance unbiased 2:4 pruning (one uniform per block).
-
-    Draws the pair from the running sums and writes the survivors in the
-    closed forms of the comment above. Works on contiguous (4, n) rows,
-    one numpy pass per step.
+def prune_mvue24_exact_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-variance unbiased 2:4 pruning, one uniform per block and
+    draw, u of shape (..., n) for (n, 4) blocks. Draws the pair from the
+    running sums and writes the survivors in the closed forms of the
+    comment above, both formed once per block. Works on contiguous (4, n)
+    rows, one numpy pass per step.
     """
     check = np.asarray(values).dtype == np.float64
     values = _block_matrix(values, 4)
-    ranks, b4, scale, sums, all_zero, three_zero = _exact24_sums(_magnitude_rows(values), check)
+    lead, u = u.shape[:-1], u.reshape(math.prod(u.shape[:-1]), len(values))
+    mags_t = _magnitude_rows(values)
+    ranks, scale, sums, all_zero, three_zero = _exact24_sums(mags_t, check)
     x = u * scale
     # Count the running sums at or below x; the leading 0 always is.
     col = (x >= sums[0]).view(np.uint8) + 1
@@ -363,30 +376,22 @@ def prune_mvue24_exact_array(
         col += x >= running
     # Degenerate blocks: ties among zeros are resolved uniformly.
     if all_zero is not None:
-        col[all_zero] = (6.0 * u[all_zero]).astype(np.uint8)
+        np.copyto(col, (6.0 * u).astype(np.uint8), where=all_zero)
     if np.any(three_zero):
-        col[three_zero] = _THREE_ZERO_COLUMNS[(3.0 * u[three_zero]).astype(np.intp)]
+        np.copyto(col, _THREE_ZERO_COLUMNS[(3.0 * u).astype(np.intp)], where=three_zero)
     # Free the draw's rows before the output's are made.
     del sums, all_zero, three_zero, x
 
-    mask = np.empty(values.shape, dtype=bool)
-    keep = mask.T
     # An entry is kept when the chosen pair holds its rank.
-    np.bitwise_and(_PAIR_BITS[col] >> ranks, 1, out=keep.view(np.uint8))
-    # Every survivor has magnitude `scale` except a regime-3 max, which
-    # keeps b4 = max(b4, scale); in regimes 1-2 max(b4, S/2) is S/2.
-    kept = b4 * (ranks == 3)
-    np.maximum(scale, kept, out=kept)
-    np.multiply(np.sign(values.T), kept, out=kept)
-    out = np.empty_like(values)
-    out.T[...] = np.where(keep, kept, 0.0)
-    return out, mask
+    keep = np.bitwise_and(_PAIR_BITS[col] >> ranks[:, None], 1).view(bool)
+    survivors = np.sign(values.T) * np.maximum(scale, mags_t)
+    return _from_rows(_where_kept(keep, survivors[:, None]), lead), _from_rows(keep, lead)
 
 
 def _exact24_marginal_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(4, n) inclusion probabilities of in-range blocks, and their scales."""
     mags_t = _magnitude_rows(values)
-    _, _, scale, _, all_zero, three_zero = _exact24_sums(mags_t)
+    _, scale, _, all_zero, three_zero = _exact24_sums(mags_t)
     with np.errstate(invalid="ignore", divide="ignore"):
         probs = np.minimum(mags_t / scale, 1.0)
     # Degenerate blocks: ties among zeros are resolved uniformly.
@@ -413,7 +418,7 @@ def _exact24_deviation(values: np.ndarray) -> np.ndarray:
 def exact24_pair_probs(values: np.ndarray) -> np.ndarray:
     """Probability of keeping each index pair, columns PAIR_INDEX_COLUMNS."""
     mags_t = _magnitude_rows(_in_range(_block_matrix(values, 4))[0])
-    ranks, _, scale, sums, all_zero, three_zero = _exact24_sums(mags_t)
+    ranks, scale, sums, all_zero, three_zero = _exact24_sums(mags_t)
     zero = np.zeros_like(scale)
     with np.errstate(invalid="ignore", divide="ignore"):
         table = np.diff(np.stack((zero, zero, *sums, scale)), axis=0) / scale
@@ -438,13 +443,14 @@ def exact24_pair_probs(values: np.ndarray) -> np.ndarray:
 # draw compares u times the mass with running sums of the magnitudes, so
 # neither divides by S or by S - |a_first|.
 
-_POSITIONS = np.arange(4, dtype=np.uint8)[:, None]
+_POSITIONS = np.arange(4, dtype=np.uint8)[:, None, None]
 
 
 def _draw_by_running_sums(
     weights: np.ndarray, fallback: np.ndarray | float, u: np.ndarray
 ) -> np.ndarray:
-    """One-hot (4, n) draw per column of (4, n) weights, P(k) = weight_k / total.
+    """One-hot (4, draws, n) draws by (draws, n) uniforms u from (4, n)
+    or (4, draws, n) weights, P(k) = weight_k / total.
 
     Columns whose total is zero, or not finite because an input is not,
     draw from ``fallback`` instead, so two draws never land on one entry.
@@ -559,30 +565,22 @@ def approx24_pair_probs(values: np.ndarray) -> np.ndarray:
     return _approx24_pairs(np.abs(_in_range(_block_matrix(values, 4))[0]))
 
 
-def prune_mvue24_approx_array(
-    values: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sequential magnitude-proportional 2:4 pruning (two uniforms per block).
-    Float32 blocks are widened by the ufuncs, not copied."""
+def prune_mvue24_approx_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sequential magnitude-proportional 2:4 pruning, two uniforms per
+    block and draw, u of shape (..., n, 2) for (n, 4) blocks. Float32
+    blocks are widened by the ufuncs, not copied."""
     values = _float_blocks(values, 4)
-    if u.ndim != 2 or u.shape != (values.shape[0], 2):
-        raise ValueError("expected uniforms of shape (num_blocks, 2)")
+    lead, u = u.shape[:-2], u.reshape(math.prod(u.shape[:-2]), len(values), 2)
     mags_t = _magnitude_rows(values)
     # An all-zero block draws as if its magnitudes were equal; when the
     # first pick holds the whole mass, the partner is uniform over the rest.
-    first = _draw_by_running_sums(mags_t, 1.0, u[:, 0])
-    second = _draw_by_running_sums(mags_t * ~first, ~first, u[:, 1])
-    survivors = _approx24_exclusion_rows(mags_t, check=values.dtype == np.float64)
-    np.subtract(1.0, survivors, out=survivors)
-
-    out = np.empty_like(values, dtype=np.float64)
-    mask = np.empty(values.shape, dtype=bool)
-    keep = mask.T
-    np.bitwise_or(first, second, out=keep)
+    first = _draw_by_running_sums(mags_t, 1.0, u[..., 0])
+    second = _draw_by_running_sums(mags_t[:, None] * ~first, ~first, u[..., 1])
+    q = _approx24_exclusion_rows(mags_t, check=values.dtype == np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(values.T, survivors, out=survivors)
-    out.T[...] = np.where(keep & (values.T != 0.0), survivors, 0.0)
-    return out, mask
+        survivors = np.where(values.T != 0.0, values.T / (1.0 - q), 0.0)
+    np.bitwise_or(first, second, out=first)
+    return _from_rows(_where_kept(first, survivors[:, None]), lead), _from_rows(first, lead)
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +591,10 @@ def prune_mvue24_approx_array(
 class Method:
     """One pruning method.
 
-    ``kernel(values, u, pattern)`` prunes (n, m) blocks with ``draws``
-    uniforms per block, u of shape (n, draws), and returns (values, keep
-    mask). ``probs(values, pattern)`` gives each entry's keep and drop
+    ``kernel(values, u, pattern)`` draws (k, m) blocks r times, u of shape
+    (r, k, draws) with ``draws`` uniforms per block and draw, doing each
+    block's work once, and returns (values, keep mask), broadcastable to
+    (r, k, m). ``probs(values, pattern)`` gives each entry's keep and drop
     probabilities (p, q), formed separately so that neither loses
     precision near 0. ``kept_set_probs(values)`` gives the kept-index sets
     and, per block, their probabilities. With ``rescale`` survivors are
@@ -645,7 +644,7 @@ def _method12(proportional: bool, rescale: bool) -> Method:
         lambda v: _with_complement(np.full(_block_matrix(v, 2).shape, 0.5)))
     return Method(
         PATTERN_12, 1,
-        lambda v, u, _: prune_mvue12_array(v, u[:, 0], proportional, rescale),
+        lambda v, u, _: prune_mvue12_array(v, u[..., 0], proportional, rescale),
         lambda v, _: probs(v),
         lambda v: (_ONE_OF_TWO, probs(v)[0]),
         rescale,
@@ -665,7 +664,7 @@ METHODS: dict[EstimatorKind, Method] = {
     EstimatorKind.MVUE12: _method12(proportional=True, rescale=True),
     EstimatorKind.MVUE24_EXACT: Method(
         PATTERN_24, 1,
-        lambda v, u, _: prune_mvue24_exact_array(v, u[:, 0]),
+        lambda v, u, _: prune_mvue24_exact_array(v, u[..., 0]),
         lambda v, _: _with_complement(exact24_marginal_probs(v)),
         lambda v: (PAIR_INDEX_COLUMNS, exact24_pair_probs(v)),
         True,
@@ -737,6 +736,15 @@ def approx24_variance_array(values: np.ndarray) -> np.ndarray:
 PRUNE_CHUNK_BLOCKS = 1 << 14
 
 
+def _write(dest: np.ndarray, blocks: np.ndarray) -> None:
+    """dest[...] = blocks, by entry position where these lie in rows: a faster transpose."""
+    if blocks.strides[-1] == blocks.itemsize:
+        dest[...] = blocks
+    else:
+        for i in range(blocks.shape[-1]):
+            dest[..., i] = blocks[..., i]
+
+
 def prune_array(
     values: np.ndarray,
     kind: EstimatorKind,
@@ -747,14 +755,15 @@ def prune_array(
     tensor's lane view from core._lane_blocks, with the given method.
 
     Returns (pruned values, keep mask) of the input's shape, the values in
-    its dtype, float32 or float64. The kernel runs on chunks of at most
-    PRUNE_CHUNK_BLOCKS blocks, whole lanes or part of one, one at a time,
-    each copied only if it is not one (n, m) view and each drawing its
-    uniforms in turn: exactly the uniforms of one draw. Stochastic kernels
-    widen each chunk to float64. A float64 block out of the kernels' range
-    is drawn at a power-of-two scale and its survivors scaled back, so
-    every draw is exact at every finite scale; a survivor beyond float64
-    is +-inf.
+    its dtype, float32 or float64: row-major, or column-major where the
+    whole array repeats one block, as np.empty_like of a broadcast row.
+    The kernel runs on chunks of at most PRUNE_CHUNK_BLOCKS blocks, whole
+    lanes or part of one, one at a time, each drawing its uniforms in turn:
+    exactly the uniforms of one draw. Leading axes of stride 0, as from
+    np.broadcast_to, repeat the blocks; the kernel gets them once, widened
+    to float64 if stochastic. A float64 block out of the kernels' range is
+    drawn at a power-of-two scale and its survivors scaled back, so every
+    draw is exact at every finite scale; a survivor beyond float64 is +-inf.
     """
     pattern = resolve_pattern(kind, pattern)
     values = _float_data(values)
@@ -764,40 +773,41 @@ def prune_array(
     if method.draws and stream is None:
         raise ValueError(f"method {kind.value!r} is stochastic and needs a RandomStream")
 
-    def kernel(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        part = part.reshape(-1, pattern.m)
-        u = stream.uniforms((len(part), method.draws)) if method.draws else None
+    def kernel(part: np.ndarray, reps: int) -> list[np.ndarray]:
+        # The first reps axes repeat the blocks, copied only if not one (k, m) view.
+        blocks = part[(0,) * reps].reshape(-1, pattern.m)
+        draws = math.prod(part.shape[:reps])
+        u = stream.uniforms((draws, len(blocks), method.draws)) if method.draws else None
         try:
-            return method.kernel(part, u, pattern)
+            out, mask = method.kernel(blocks, u, pattern)
         except _OutOfRange:
-            part, exponent = _in_range(part)
-            out, mask = method.kernel(part, u, pattern)
-            return _unscale(out, exponent), mask
+            blocks, exponent = _in_range(blocks)
+            out, mask = method.kernel(blocks, u, pattern)
+            out = _unscale(out, exponent)
+        # Greedy's (k, m) results broadcast over the repeats when written.
+        return [a.reshape(part.shape[reps:] if a.ndim == 2 else part.shape) for a in (out, mask)]
 
-    if values.size <= PRUNE_CHUNK_BLOCKS * pattern.m:
-        part, mask = kernel(values)
-        # Survivors may overflow float32; the file writers refuse non-finite data.
-        with np.errstate(over="ignore"):
-            part = part.astype(values.dtype, copy=False)
-        return part.reshape(values.shape), mask.reshape(values.shape)
-    # The samplers lay a block matrix's output out like their input, greedy row-major.
-    matrix_layout = values.ndim == 2 and kind is not EstimatorKind.GREEDY_MSE
-    out = np.empty_like(values, order="K" if matrix_layout else "C")
-    mask = np.empty(values.shape, dtype=bool)
-    # Chunks slice one dimension of the blocks' layout, the ones after it whole.
     lead = values.shape[:-1]
+    reps = next((i for i, n in enumerate(lead) if values.strides[i] or not n), len(lead))
+    order = "F" if math.prod(lead[reps:]) == 1 else "C"
+    out = np.empty(values.shape, values.dtype, order=order)
+    mask = np.empty(values.shape, bool, order=order)
+    # Chunks slice one dimension of the blocks' layout, the ones after it whole.
     axis = len(lead) - 1
     while axis and math.prod(lead[axis:]) <= PRUNE_CHUNK_BLOCKS:
         axis -= 1
-    step = PRUNE_CHUNK_BLOCKS // math.prod(lead[axis + 1 :])
-    for outer in np.ndindex(*lead[:axis]):
+    step = PRUNE_CHUNK_BLOCKS // max(math.prod(lead[axis + 1 :]), 1)
+    for outer in itertools.product(*map(range, lead[:axis])):
         for start in range(0, lead[axis], step):
             rows = (*outer, slice(start, start + step))
-            chunk = values[rows]
-            part, part_mask = kernel(chunk)
-            mask[rows] = part_mask.reshape(chunk.shape)
+            part, part_mask = kernel(values[rows], max(reps - axis, 0))
+            if part.shape == values.shape and part.dtype == values.dtype and all(
+                    a.flags.writeable and a.flags[f"{order}_CONTIGUOUS"] for a in (part, part_mask)):
+                return part, part_mask  # one chunk whose results are laid out already
+            _write(mask[rows], part_mask)
+            # Survivors may overflow float32; the file writers refuse non-finite data.
             with np.errstate(over="ignore"):
-                out[rows] = part.reshape(chunk.shape)
+                _write(out[rows], part)
     return out, mask
 
 

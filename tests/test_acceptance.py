@@ -109,7 +109,6 @@ def mc_component_stats(
     blocks: np.ndarray, kind: EstimatorKind, draws: int, seed: int, chunk: int = 32
 ) -> ComponentStats:
     num, m = blocks.shape
-    tiled = np.tile(blocks, (chunk, 1))
     stream = RandomStream(seed, stream=1)
     s1 = np.zeros((num, m))
     s2 = np.zeros((num, m))
@@ -117,15 +116,15 @@ def mc_component_stats(
     done = 0
     while done < draws:
         c = min(chunk, draws - done)
-        part = tiled[: c * num]
+        # c draws of every block: prune_array does each block's work once.
+        part = np.broadcast_to(blocks, (c, num, m))
         out, _ = prune_array(part, kind, stream=stream)
         out -= part
-        view = out.reshape(c, num, m)
-        s1 += view.sum(axis=0)
+        s1 += out.sum(axis=0)
         np.multiply(out, out, out=out)
-        s2 += view.sum(axis=0)
+        s2 += out.sum(axis=0)
         np.multiply(out, out, out=out)
-        s4 += view.sum(axis=0)
+        s4 += out.sum(axis=0)
         done += c
     return ComponentStats(blocks, s1 / draws, s2 / draws, s4 / draws)
 

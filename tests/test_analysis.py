@@ -92,6 +92,30 @@ def assert_same_report(got: McReport, want: McReport):
     assert got.pair_frequencies == want.pair_frequencies
 
 
+class TestMcEstimateLayout:
+    """mc_estimate reduces column by column whatever the layout prune_array
+    returns: a row-major copy of its results gives the same report, bit for
+    bit, where the row-by-row sums of a row-major reduction would differ."""
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("samples", [10_000, 2 * PRUNE_CHUNK_BLOCKS + 3])
+    def test_a_row_major_result_gives_the_same_report(self, kind, samples, monkeypatch):
+        # In regime 3 mvue24 keeps the max at its own value in every draw.
+        block = Block([0.01, -0.02, 0.03, 0.7] if kind.required_pattern != P12 else [0.1, -0.7])
+        want = mc_estimate(block, kind, samples, seed=5)
+
+        def row_major(*args):
+            return tuple(np.ascontiguousarray(a) for a in prune_array(*args))
+
+        monkeypatch.setattr(analysis, "prune_array", row_major)
+        got = mc_estimate(block, kind, samples, seed=5)
+        for name in ("empirical_mean", "empirical_var", "mean_se"):
+            bits = [getattr(report, name).view(np.uint64) for report in (got, want)]
+            np.testing.assert_array_equal(*bits)
+        for name in ("mse_mean", "mse_se", "pair_frequencies"):
+            assert getattr(got, name) == getattr(want, name)
+
+
 class TestMcStatistics:
     """The per-draw squared errors and kept-set codes equal the plain
     formulas they replace, bit for bit."""

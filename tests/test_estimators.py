@@ -953,11 +953,13 @@ class TestPruneTensor:
 
 
 def whole_array_kernel(values: np.ndarray, kind: EstimatorKind, seed: int):
-    """The kernel called once on all blocks, with the uniforms of one draw."""
+    """The kernel called once on all blocks as one draw (r = 1), with the
+    uniforms of one draw."""
     pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
     method = METHODS[kind]
-    u = RandomStream(seed).uniforms((values.shape[0], method.draws)) if method.draws else None
-    return method.kernel(values, u, pattern)
+    u = RandomStream(seed).uniforms((1, len(values), method.draws)) if method.draws else None
+    out, mask = method.kernel(values, u, pattern)
+    return out.reshape(values.shape), mask.reshape(values.shape)
 
 
 CHUNK_EDGES = (PRUNE_CHUNK_BLOCKS - 1, PRUNE_CHUNK_BLOCKS, PRUNE_CHUNK_BLOCKS + 1,
@@ -991,16 +993,20 @@ class TestPruneArrayChunks:
         np.testing.assert_array_equal(mask, ref_mask)
 
     @pytest.mark.parametrize("kind", list(EstimatorKind))
-    def test_broadcast_input_keeps_the_kernel_layout(self, kind):
-        # A broadcast row gives a column-major kernel output, whose axis-0
-        # mean of a constant column is exact; the chunked output keeps it.
+    @pytest.mark.parametrize("samples", [100, 2 * PRUNE_CHUNK_BLOCKS + 3])
+    def test_broadcast_row_gives_column_major_draws(self, kind, samples):
+        # A repeated row's draws of one entry lie contiguous, in one chunk
+        # or many, as np.empty_like of the broadcast row lays them out; the
+        # values are the kernel's on the row's copies.
         pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
         row = random_test_blocks(1, pattern.m, seed=93)[0]
-        tiled = np.broadcast_to(row, (2 * PRUNE_CHUNK_BLOCKS + 3, pattern.m))
-        out, _ = prune_array(tiled, kind, pattern, RandomStream(94))
-        ref_out, _ = whole_array_kernel(tiled, kind, 94)
-        assert out.strides == ref_out.strides
-        np.testing.assert_array_equal(out, ref_out)
+        tiled = np.broadcast_to(row, (samples, pattern.m))
+        out, mask = prune_array(tiled, kind, pattern, RandomStream(94))
+        ref_out, ref_mask = whole_array_kernel(np.ascontiguousarray(tiled), kind, 94)
+        assert out.strides == np.empty_like(tiled).strides == (8, 8 * samples)
+        assert mask.flags.f_contiguous and out.flags.writeable and mask.flags.writeable
+        np.testing.assert_array_equal(out.view(np.uint64), ref_out.view(np.uint64))
+        np.testing.assert_array_equal(mask, ref_mask)
 
     @pytest.mark.parametrize("kind", list(EstimatorKind))
     @pytest.mark.parametrize("blocks", CHUNK_EDGES)
@@ -1038,7 +1044,7 @@ class TestPruneArrayChunks:
             calls.append(len(v))
             if len(calls) == failing_chunk + 1:
                 raise ValueError("bad chunk")
-            return prune_mvue12_array(v, u[:, 0])
+            return prune_mvue12_array(v, u[..., 0])
 
         method = dataclasses.replace(METHODS[EstimatorKind.MVUE12], kernel=failing)
         monkeypatch.setitem(estimators.METHODS, EstimatorKind.MVUE12, method)
@@ -1053,7 +1059,7 @@ class TestPruneArrayChunks:
 
         def recording(v, u, pattern):
             seen.append(np.geterr()["over"])
-            return prune_mvue12_array(v, u[:, 0])
+            return prune_mvue12_array(v, u[..., 0])
 
         method = dataclasses.replace(METHODS[EstimatorKind.MVUE12], kernel=recording)
         monkeypatch.setitem(estimators.METHODS, EstimatorKind.MVUE12, method)
@@ -1061,6 +1067,60 @@ class TestPruneArrayChunks:
         with np.errstate(over="raise"):
             prune_array(values, EstimatorKind.MVUE12, None, RandomStream(0))
         assert seen == ["raise"] * 4
+
+
+def hard_blocks(count: int, m: int, dtype) -> np.ndarray:
+    """count distinct blocks that start with an all-zero, a three-zero
+    (one-zero for m = 2) and a tied block, then blocks at +-1e308 and
+    1e-310 in float64 (+-3e38 and 1e-40 in float32)."""
+    values = random_test_blocks(count, m, seed=count)
+    values[0] = 0.0
+    values[1, 1:] = 0.0
+    values[2] = -1.5
+    extremes = [1e308, -1e308, 1e-310] if dtype is np.float64 else [3e38, -3e38, 1e-40]
+    values[3:6] /= np.abs(values[3:6]).max(axis=1, keepdims=True)
+    values[3:6] *= np.array(extremes)[: len(values[3:6]), None]
+    return values.astype(dtype)
+
+
+# (draws, distinct blocks): a repeated block, one under, at and over a
+# chunk; distinct blocks repeated to the same totals; and a repeat whose
+# distinct blocks fill more than a chunk, so chunks split its lanes.
+REPEAT_SHAPES = (
+    (PRUNE_CHUNK_BLOCKS - 1, None), (PRUNE_CHUNK_BLOCKS, None), (PRUNE_CHUNK_BLOCKS + 1, None),
+    (PRUNE_CHUNK_BLOCKS // 3, 3), (PRUNE_CHUNK_BLOCKS // 8, 8), ((PRUNE_CHUNK_BLOCKS + 1) // 5, 5),
+    (2, PRUNE_CHUNK_BLOCKS + 7),
+)
+
+
+class TestPruneArrayRepeats:
+    """Leading zero-stride axes repeat their blocks, whose work the kernel
+    does once; the result must be that of the repeat's contiguous copy,
+    bit for bit, with the same uniforms drawn."""
+
+    # unbiased-uniform doubles 1e308: a survivor beyond float64 is inf.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("draws, distinct", REPEAT_SHAPES)
+    def test_a_repeat_prunes_as_its_contiguous_copy(self, kind, dtype, draws, distinct):
+        pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
+        if distinct is None:  # (draws, m): each hard block repeated on its own
+            rows = hard_blocks(6, pattern.m, dtype)
+            repeats = [np.broadcast_to(row, (draws, pattern.m)) for row in rows]
+        else:  # (draws, distinct, m)
+            rows = hard_blocks(distinct, pattern.m, dtype)
+            repeats = [np.broadcast_to(rows, (draws, *rows.shape))]
+        for seed, repeat in enumerate(repeats):
+            assert repeat.strides[0] == 0
+            stream, reference = RandomStream(seed), RandomStream(seed)
+            out, mask = prune_array(repeat, kind, pattern, stream)
+            ref_out, ref_mask = prune_array(np.ascontiguousarray(repeat), kind, pattern, reference)
+            assert out.dtype == ref_out.dtype == dtype and out.shape == repeat.shape
+            bits = f"u{out.itemsize}"
+            np.testing.assert_array_equal(out.view(bits), ref_out.view(bits))
+            np.testing.assert_array_equal(mask, ref_mask)
+            np.testing.assert_array_equal(stream.uniforms(4), reference.uniforms(4))
 
 
 def test_pruning_and_verify_run_on_the_calling_thread(monkeypatch):

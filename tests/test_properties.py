@@ -297,3 +297,31 @@ def test_prune_tensor_matches_the_moved_axis_reference(kind, dtype, chunk, data,
         assert cached.shape == fresh_split.shape and cached.dtype == fresh_split.dtype
         np.testing.assert_array_equal(cached.view(bits), fresh_split.view(bits))
     np.testing.assert_array_equal(codes, _coded_split(fresh, pattern.m)[2])
+
+
+def rank_based_exact24(values: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """mvue24's survivors written by rank, as before the rank-free form:
+    every survivor has magnitude `scale` except the max, rank 3, which
+    keeps max(b4, scale)."""
+    mags_t = np.abs(values.T)
+    (*_, b4), ranks = estimators._sort4(mags_t)
+    scale = estimators._exact24_sums(mags_t)[1]
+    kept = np.maximum(scale, b4 * (ranks == 3))
+    mask = estimators.prune_mvue24_exact_array(values, u)[1]
+    return np.where(mask, (np.sign(values.T) * kept).T, 0.0)
+
+
+# Zeros of both signs and exact ties, among magnitudes that stay normal.
+TIED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0]), SCALABLE)
+
+
+@settings(FIXED, max_examples=200)
+@given(values=blocks(4, TIED), k=st.integers(-990, 989), seed=st.integers(0, 2**32))
+def test_exact24_survivors_need_no_rank(values, k, seed):
+    # sign(a) max(scale, |a|) is the rank-based survivor, bit for bit, in
+    # every regime and on all-zero, three-zero and tied blocks, at any
+    # power-of-two scale in the kernels' range.
+    values = np.ldexp(values, k)
+    u = RandomStream(seed).uniforms(len(values))
+    got = estimators.prune_mvue24_exact_array(values, u)[0]
+    np.testing.assert_array_equal(got.view(np.uint64), rank_based_exact24(values, u).view(np.uint64))
