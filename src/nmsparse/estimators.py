@@ -110,50 +110,42 @@ def _float_blocks(values, m: int | None = None) -> np.ndarray:
     return arr
 
 
-# A block is out of range when its largest magnitude is not in [_LOW, _HIGH):
-# its magnitude total may overflow, or subnormal rounding may move a draw.
-# Probabilities and draws do not depend on scale, so such a block is scaled
-# by a power of two, which is exact, and its survivors are scaled back.
+# A block is out of range when its largest magnitude is neither 0 nor in
+# [_LOW, _HIGH): its magnitude total may overflow, or subnormal rounding may
+# move a draw. Probabilities and draws do not depend on scale, so such a
+# block is scaled by a power of two, which is exact, and its survivors are
+# scaled back. Widened float32 blocks are never out of range.
 _LOW, _HIGH = 2.0**-1000, 2.0**1000
 
 
-class _OutOfRange(ValueError):
-    """A float64 kernel met a block out of its range; prune_array scales
-    such blocks into range."""
+def _out_of_range(top: np.ndarray) -> np.ndarray:
+    """Whether each block, of largest magnitude ``top``, is out of range."""
+    return (top >= _HIGH) | ((top < _LOW) & (top > 0.0))
 
 
-_OUT_OF_RANGE = "block magnitudes out of the kernels' range; prune_array scales them"
+def _in_range(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(values, magnitude rows, exponent) of (n, m) blocks: values with each
+    out-of-range block scaled by 2**-e to a largest magnitude in [0.5, 1),
+    their magnitude rows, and e per block (0 for the others), or None when
+    every block is in range. A kernel draws from the first two and scales
+    its survivor rows back with _unscale."""
+    mags_t = _magnitude_rows(values)
+    top = np.maximum.reduce(mags_t)
+    out = _out_of_range(top)
+    if not np.count_nonzero(out):
+        return values, mags_t, None
+    exponent = np.where(out, np.frexp(top)[1], 0)
+    values = np.ldexp(values, -exponent[:, None])
+    return values, _magnitude_rows(values), exponent
 
 
-def _check_total(total: np.ndarray, low: bool = True) -> None:
-    """Raise _OutOfRange if a per-block magnitude total overflowed or, with
-    ``low``, lies in (0, _LOW), as only an out-of-range block's can."""
-    small = total < _LOW if low else None
-    if total.max(initial=0.0) == np.inf or (
-        low and np.any(small) and np.count_nonzero(small) > np.count_nonzero(total == 0.0)
-    ):
-        raise _OutOfRange(_OUT_OF_RANGE)
-
-
-def _in_range(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """values with each out-of-range block scaled by 2**-e to a largest
-    magnitude in [0.5, 1), and e per block (0 for the others), or None when
-    every block is in range. Only an entry outside [_LOW, _HIGH) can put a
-    block out of range: the common path looks for those alone."""
-    mags = np.abs(values)
-    if mags.max(initial=0.0) < _HIGH and not np.any((mags > 0.0) & (mags < _LOW)):
-        return values, None
-    top = mags.max(axis=1)
-    exponent = np.where((top >= _HIGH) | ((top > 0.0) & (top < _LOW)), np.frexp(top)[1], 0)
-    return np.ldexp(values, -exponent[:, None]), exponent
-
-
-def _unscale(values: np.ndarray, exponent: np.ndarray | None) -> np.ndarray:
-    """Undo _in_range's scaling of (..., n, m) blocks; beyond float64 is +-inf."""
+def _unscale(rows: np.ndarray, exponent: np.ndarray | None) -> np.ndarray:
+    """Undo _in_range's scaling of (..., n) rows of n blocks; beyond float64
+    is +-inf."""
     if exponent is None:
-        return values
+        return rows
     with np.errstate(over="ignore"):
-        return np.ldexp(values, exponent[:, None])
+        return np.ldexp(rows, exponent)
 
 
 def _magnitude_rows(values: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -222,26 +214,27 @@ def prune_mvue12_array(
     sign * (|a0| + |a1|), or twice its value for the coin. The defaults
     are mvue12, the minimum-variance unbiased 1:2 estimator.
     """
-    check = np.asarray(values).dtype == np.float64
-    values = _block_matrix(values, 2)
+    values, exponent = _block_matrix(values, 2), None
     lead, u = u.shape[:-1], u.reshape(math.prod(u.shape[:-1]), len(values))
-    rows = values.T
     if proportional:
-        m0, m1 = _magnitude_rows(values)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            total = m0 + m1
-            if check:  # a subnormal total is an exact sum, P a correctly rounded ratio
-                _check_total(total, low=False)
-            share = np.where(total > 0.0, m0 / total, 1.0)
+        values, (m0, m1), exponent = _in_range(values)
+        total = m0 + m1
+        with np.errstate(invalid="ignore"):
+            share = m0 / total
+    rows = values.T
+    # Entry 1 is kept when u >= P; no u is >= an all-zero block's 0/0.
     keep = np.empty((2, *u.shape), dtype=bool)
-    np.less(u, share if proportional else 0.5, out=keep[0])
-    np.logical_not(keep[0], out=keep[1])
+    np.greater_equal(u, share if proportional else 0.5, out=keep[1])
+    np.logical_not(keep[1], out=keep[0])
     if not rescale:
         survivors = rows
     elif proportional:
-        survivors = np.sign(rows) * total
+        # Signs formed into contiguous rows: a product with strided rows is slow.
+        survivors = np.sign(rows, out=np.empty(rows.shape))
+        survivors *= total
     else:
         survivors = 2.0 * rows
+    survivors = _unscale(survivors, exponent)
     return _from_rows(_where_kept(keep, survivors[:, None]), lead), _from_rows(keep, lead)
 
 
@@ -337,19 +330,15 @@ def _sort4(mags_t: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return (b1, b2, b3, b4), ranks
 
 
-def _exact24_sums(mags_t: np.ndarray, check: bool = False):
+def _exact24_sums(mags_t: np.ndarray):
     """(ranks, scale, running sums, all-zero blocks or None, blocks with
-    three zeros) of (4, n) magnitude rows, as in the comment above;
-    the four running sums after the leading 0 are scaled like ``scale``,
-    which is the last one. With ``check``, a block whose largest
-    magnitude b4 is out of range raises before any sum can overflow."""
+    three zeros) of (4, n) magnitude rows of in-range blocks, as in the
+    comment above; the four running sums after the leading 0 are scaled
+    like ``scale``, which is the last one."""
     (b1, b2, b3, b4), ranks = _sort4(mags_t)
-    odd = (b4 < _LOW) | (b4 >= _HIGH) if check else b4 == 0.0
-    all_zero = None
-    if np.any(odd):
-        all_zero = b4 == 0.0 if check else odd
-        if check and np.count_nonzero(all_zero) < np.count_nonzero(odd):
-            raise _OutOfRange(_OUT_OF_RANGE)
+    all_zero = b4 == 0.0
+    if not np.count_nonzero(all_zero):
+        all_zero = None
     small = b1 + b2 + b3
     scale = np.where(b4 > small, small, 0.5 * (small + b4))
     middle = np.maximum(np.minimum(2.0 * b2 + b3 - b4, 2.0 * (small - b4)), 0.0)
@@ -364,11 +353,10 @@ def prune_mvue24_exact_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndar
     comment above, both formed once per block. Works on contiguous (4, n)
     rows, one numpy pass per step.
     """
-    check = np.asarray(values).dtype == np.float64
     values = _block_matrix(values, 4)
     lead, u = u.shape[:-1], u.reshape(math.prod(u.shape[:-1]), len(values))
-    mags_t = _magnitude_rows(values)
-    ranks, scale, sums, all_zero, three_zero = _exact24_sums(mags_t, check)
+    values, mags_t, exponent = _in_range(values)
+    ranks, scale, sums, all_zero, three_zero = _exact24_sums(mags_t)
     x = u * scale
     # Count the running sums at or below x; the leading 0 always is.
     col = (x >= sums[0]).view(np.uint8) + 1
@@ -377,20 +365,20 @@ def prune_mvue24_exact_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndar
     # Degenerate blocks: ties among zeros are resolved uniformly.
     if all_zero is not None:
         np.copyto(col, (6.0 * u).astype(np.uint8), where=all_zero)
-    if np.any(three_zero):
+    if np.count_nonzero(three_zero):
         np.copyto(col, _THREE_ZERO_COLUMNS[(3.0 * u).astype(np.intp)], where=three_zero)
     # Free the draw's rows before the output's are made.
     del sums, all_zero, three_zero, x
 
     # An entry is kept when the chosen pair holds its rank.
     keep = np.bitwise_and(_PAIR_BITS[col] >> ranks[:, None], 1).view(bool)
-    survivors = np.sign(values.T) * np.maximum(scale, mags_t)
+    survivors = _unscale(np.sign(values.T) * np.maximum(scale, mags_t), exponent)
     return _from_rows(_where_kept(keep, survivors[:, None]), lead), _from_rows(keep, lead)
 
 
-def _exact24_marginal_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(4, n) inclusion probabilities of in-range blocks, and their scales."""
-    mags_t = _magnitude_rows(values)
+def _exact24_marginal_rows(mags_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(4, n) inclusion probabilities of in-range blocks' magnitude rows,
+    and their scales."""
     _, scale, _, all_zero, three_zero = _exact24_sums(mags_t)
     with np.errstate(invalid="ignore", divide="ignore"):
         probs = np.minimum(mags_t / scale, 1.0)
@@ -403,21 +391,21 @@ def _exact24_marginal_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def exact24_marginal_probs(values: np.ndarray) -> np.ndarray:
     """Inclusion probability of each entry, in original order."""
-    probs, _ = _exact24_marginal_rows(_in_range(_block_matrix(values, 4))[0])
+    probs, _ = _exact24_marginal_rows(_in_range(_block_matrix(values, 4))[1])
     return np.ascontiguousarray(probs.T)
 
 
 def _exact24_deviation(values: np.ndarray) -> np.ndarray:
     """q |a| / p per entry: q times the block's scale, the magnitude of
     every survivor with p < 1, at the block's own scale."""
-    scaled, exponent = _in_range(values)
-    probs, scale = _exact24_marginal_rows(scaled)
-    return _unscale(((1.0 - probs) * scale).T, exponent)
+    _, mags_t, exponent = _in_range(values)
+    probs, scale = _exact24_marginal_rows(mags_t)
+    return _unscale((1.0 - probs) * scale, exponent).T
 
 
 def exact24_pair_probs(values: np.ndarray) -> np.ndarray:
     """Probability of keeping each index pair, columns PAIR_INDEX_COLUMNS."""
-    mags_t = _magnitude_rows(_in_range(_block_matrix(values, 4))[0])
+    mags_t = _in_range(_block_matrix(values, 4))[1]
     ranks, scale, sums, all_zero, three_zero = _exact24_sums(mags_t)
     zero = np.zeros_like(scale)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -465,7 +453,7 @@ def _draw_by_running_sums(
     cum2 = cum1 + w2
     total = cum2 + w3
     unusable = (total == 0.0) | ~np.isfinite(total)
-    if np.any(unusable):
+    if np.count_nonzero(unusable):
         return _draw_by_running_sums(np.where(unusable, fallback, weights), fallback, u)
     x = u * total
     index = (x >= w0).view(np.uint8)
@@ -474,15 +462,13 @@ def _draw_by_running_sums(
     return index == _POSITIONS
 
 
-def _approx24_exclusion_rows(mags_t: np.ndarray, check: bool = False) -> np.ndarray:
-    """Exclusion probabilities of (4, n) magnitude rows, written over them
-    to save memory. With ``check``, blocks out of range raise."""
+def _approx24_exclusion_rows(mags_t: np.ndarray) -> np.ndarray:
+    """Exclusion probabilities of (4, n) magnitude rows of in-range blocks,
+    written over them to save memory."""
     m0, m1, m2, m3 = mags_t
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         # Added left to right, the order of a row sum.
         total = m0 + m1 + m2 + m3
-        if check:
-            _check_total(total)
         ps01 = m0 + m1
         ps02 = m0 + m2
         ps03 = m0 + m3
@@ -497,7 +483,7 @@ def _approx24_exclusion_rows(mags_t: np.ndarray, check: bool = False) -> np.ndar
         # Where one entry holds the whole mass, or all but a share that
         # m / rest overflows on, the pair probabilities give the column.
         odd = ~(np.isfinite(w0) & np.isfinite(w1) & np.isfinite(w2) & np.isfinite(w3))
-        odd_mags = mags_t[:, odd].T if np.any(odd) else None
+        odd_mags = mags_t[:, odd].T if np.count_nonzero(odd) else None
         # Divide by the total: its reciprocal overflows for subnormal totals.
         np.divide(w1 * ps23 + w2 * ps13 + w3 * ps12, total, out=m0)
         np.divide(w0 * ps23 + w2 * ps03 + w3 * ps02, total, out=m1)
@@ -520,7 +506,7 @@ def approx24_exclusion_probs(values: np.ndarray) -> np.ndarray:
     around 1e-12) keeps full relative precision where 1 - inclusion would
     be pure rounding noise.
     """
-    mags_t = _magnitude_rows(_in_range(_block_matrix(values, 4))[0])
+    mags_t = _in_range(_block_matrix(values, 4))[1]
     return np.ascontiguousarray(_approx24_exclusion_rows(mags_t).T)
 
 
@@ -534,14 +520,13 @@ def _approx24_deviation(values: np.ndarray) -> np.ndarray:
     sums S / (1 + sum_{k != i} w_k), w_k = |a_k| / (S - |a_k|), since
     p_i = |a_i| (1 + sum_{k != i} w_k) / S: entry i is drawn first, or
     second after some k."""
-    scaled, exponent = _in_range(values)
-    mags_t = _magnitude_rows(scaled)
+    _, mags_t, exponent = _in_range(values)
     q = _approx24_exclusion_rows(mags_t.copy())
     with np.errstate(invalid="ignore", divide="ignore"):
         w = mags_t / (_OTHERS @ mags_t)
         rare = mags_t.sum(axis=0) / (1.0 + w[_OTHER_POSITIONS].sum(axis=1))
         survivor = np.where(q < 1.0, mags_t / (1.0 - q), rare)
-    return _unscale((q * survivor).T, exponent)
+    return _unscale(q * survivor, exponent).T
 
 
 def _approx24_pairs(mags: np.ndarray) -> np.ndarray:
@@ -571,14 +556,14 @@ def prune_mvue24_approx_array(values: np.ndarray, u: np.ndarray) -> tuple[np.nda
     blocks are widened by the ufuncs, not copied."""
     values = _float_blocks(values, 4)
     lead, u = u.shape[:-2], u.reshape(math.prod(u.shape[:-2]), len(values), 2)
-    mags_t = _magnitude_rows(values)
+    values, mags_t, exponent = _in_range(values)
     # An all-zero block draws as if its magnitudes were equal; when the
     # first pick holds the whole mass, the partner is uniform over the rest.
     first = _draw_by_running_sums(mags_t, 1.0, u[..., 0])
     second = _draw_by_running_sums(mags_t[:, None] * ~first, ~first, u[..., 1])
-    q = _approx24_exclusion_rows(mags_t, check=values.dtype == np.float64)
+    q = _approx24_exclusion_rows(mags_t)
     with np.errstate(invalid="ignore", divide="ignore"):
-        survivors = np.where(values.T != 0.0, values.T / (1.0 - q), 0.0)
+        survivors = _unscale(np.where(values.T != 0.0, values.T / (1.0 - q), 0.0), exponent)
     np.bitwise_or(first, second, out=first)
     return _from_rows(_where_kept(first, survivors[:, None]), lead), _from_rows(first, lead)
 
@@ -594,7 +579,11 @@ class Method:
     ``kernel(values, u, pattern)`` draws (k, m) blocks r times, u of shape
     (r, k, draws) with ``draws`` uniforms per block and draw, doing each
     block's work once, and returns (values, keep mask), broadcastable to
-    (r, k, m). ``probs(values, pattern)`` gives each entry's keep and drop
+    (r, k, m). A kernel that reads magnitudes draws each out-of-range block
+    at a power-of-two scale and scales its survivors back, so a block's
+    draws are exact at every finite scale and do not depend on the other
+    blocks; greedy and the coins read none and are never scaled.
+    ``probs(values, pattern)`` gives each entry's keep and drop
     probabilities (p, q), formed separately so that neither loses
     precision near 0. ``kept_set_probs(values)`` gives the kept-index sets
     and, per block, their probabilities. With ``rescale`` survivors are
@@ -761,9 +750,8 @@ def prune_array(
     lanes or part of one, one at a time, each drawing its uniforms in turn:
     exactly the uniforms of one draw. Leading axes of stride 0, as from
     np.broadcast_to, repeat the blocks; the kernel gets them once, widened
-    to float64 if stochastic. A float64 block out of the kernels' range is
-    drawn at a power-of-two scale and its survivors scaled back, so every
-    draw is exact at every finite scale; a survivor beyond float64 is +-inf.
+    to float64 if stochastic. Out-of-range blocks are the kernels' to
+    scale (see Method); a survivor beyond float64 is +-inf.
     """
     pattern = resolve_pattern(kind, pattern)
     values = _float_data(values)
@@ -778,12 +766,7 @@ def prune_array(
         blocks = part[(0,) * reps].reshape(-1, pattern.m)
         draws = math.prod(part.shape[:reps])
         u = stream.uniforms((draws, len(blocks), method.draws)) if method.draws else None
-        try:
-            out, mask = method.kernel(blocks, u, pattern)
-        except _OutOfRange:
-            blocks, exponent = _in_range(blocks)
-            out, mask = method.kernel(blocks, u, pattern)
-            out = _unscale(out, exponent)
+        out, mask = method.kernel(blocks, u, pattern)
         # Greedy's (k, m) results broadcast over the repeats when written.
         return [a.reshape(part.shape[reps:] if a.ndim == 2 else part.shape) for a in (out, mask)]
 

@@ -261,6 +261,10 @@ def train(
                 return records
 
 
+# Redraws per prune_array call in masked_gradient_check.
+GRADCHECK_CHUNK = 500
+
+
 @dataclass(frozen=True)
 class GradCheckResult:
     """Componentwise z-scores of the masked-gradient mean against the
@@ -286,7 +290,6 @@ def masked_gradient_check(
     at_step: int = 5,
     layer: int = 0,
     seed: int = 1234,
-    chunk: int = 500,
 ) -> GradCheckResult:
     """Empirical mean of repeated gradient maskings against the true
     gradient, captured mid-training.
@@ -323,8 +326,8 @@ def masked_gradient_check(
 
     stream = RandomStream(seed, stream=13)
     total = np.zeros_like(blocks)
-    for done in range(0, redraws, chunk):
-        count = min(chunk, redraws - done)
+    for done in range(0, redraws, GRADCHECK_CHUNK):
+        count = min(GRADCHECK_CHUNK, redraws - done)
         tiled = np.broadcast_to(blocks, (count, *blocks.shape))
         total += prune_array(tiled, kind, pattern, stream)[0].sum(axis=0)
 

@@ -1293,3 +1293,54 @@ class TestExtremeScaleSamplers:
         np.testing.assert_array_equal(got_mask[:1_000], want_mask)
         assert np.all(got_mask[1_000:].sum(axis=1) == kind.required_pattern.kept)
         assert not np.any(np.isnan(got))
+
+    @pytest.mark.parametrize("kind", [EstimatorKind.MVUE12, EstimatorKind.BIASED12,
+                                      EstimatorKind.MVUE24_EXACT, EstimatorKind.MVUE24_APPROX])
+    def test_wide_span_block_draws_alone_as_beside_an_overflowing_block(self, kind):
+        # Tops near 2^1022.5, the other entries near 2^-1.5: each block is
+        # out of range and spans more than 2^1022, so its scaled draw
+        # rounds its small entries. Whether it is scaled is decided per
+        # block, never by the other blocks of its chunk.
+        m = kind.required_pattern.m
+        stream = RandomStream(117)
+        wide = np.ldexp(0.5 + 0.5 * stream.uniforms((200, m)), -1)
+        wide *= np.where(stream.uniforms((200, m)) < 0.5, -1.0, 1.0)
+        wide[:, 0] = np.ldexp(0.7 + 0.05 * stream.uniforms(200), 1023)
+        overflowing = np.concatenate([wide, np.full((1, m), 1.7e308)])
+        want, want_mask = prune_array(wide, kind, None, RandomStream(118))
+        with np.errstate(over="ignore"):
+            got, got_mask = prune_array(overflowing, kind, None, RandomStream(118))
+        np.testing.assert_array_equal(got[:200].view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(got_mask[:200], want_mask)
+
+    KERNELS = [
+        (prune_mvue12_array, EstimatorKind.MVUE12, 1),
+        (prune_mvue24_exact_array, EstimatorKind.MVUE24_EXACT, 1),
+        (prune_mvue24_approx_array, EstimatorKind.MVUE24_APPROX, 2),
+    ]
+
+    @pytest.mark.parametrize("kernel,kind,draws", KERNELS)
+    @pytest.mark.parametrize("unit,scale", [
+        ([1.0, 1.0, 1.0, 1.0], 1e308),
+        ([1.0, -2.0, 3.0, -4.0], 1e-310),
+        ([1.0, -2.0, 3.0, -4.0], 5e-324),
+    ])
+    def test_kernels_draw_out_of_range_blocks(self, kernel, kind, draws, unit, scale):
+        # Called directly, a kernel scales its own out-of-range blocks.
+        unit = np.array(unit[: kind.required_pattern.m])
+        u = RandomStream(119).uniforms((self.SAMPLES, 1, draws))
+        out, mask = kernel(unit[None, :] * scale, u if draws == 2 else u[..., 0])
+        out, mask = out.reshape(self.SAMPLES, -1), mask.reshape(self.SAMPLES, -1)
+        self.assert_rates(mask, 1.0 - METHODS[kind].probs(unit[None, :], None)[1][0])
+        assert not np.any(np.isnan(out))  # finite or +-inf
+
+    # unbiased-uniform doubles 1e308: a survivor beyond float64 is inf.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kind,survivor", [
+        (EstimatorKind.UNIFORM12, 1e-300), (EstimatorKind.UNBIASED_UNIFORM12, 2e-300)])
+    def test_coin_methods_are_never_scaled(self, kind, survivor):
+        # The coins read no magnitudes: scaling [1e308, 1e-300] would flush
+        # the small survivor to 0 and bias unbiased-uniform.
+        out, mask = self.draw([1e308, 1e-300], kind, 120)
+        assert 0 < np.count_nonzero(mask[:, 1]) < self.SAMPLES
+        np.testing.assert_array_equal(out[mask[:, 1], 1], survivor)
