@@ -10,8 +10,9 @@ Two families operate on length-m blocks:
   unbiased. Choosing inclusion probabilities proportional to magnitude
   minimizes the variance among unbiased schemes; ``mvue12`` realizes the
   optimum for 1:2 blocks and ``mvue24`` for 2:4 blocks, while ``approx24``
-  is a cheaper sequential sampler whose variance is within 2x of the
-  optimum everywhere.
+  is a cheaper sequential sampler (the first pick by magnitude, then its
+  partner by magnitude among the other three) whose variance is within
+  2x of the optimum everywhere.
 
 Three 1:2 reference baselines are included for comparison: ``biased``
 (magnitude-proportional selection without rescaling), ``uniform`` (coin
@@ -20,9 +21,11 @@ rescaling).
 
 Each method is one ``Method`` record in ``METHODS``: its pattern, kernel,
 keep and drop probabilities (p, q), rescale flag and error factor. Every
-variance and error formula is derived from the record. All functions
-treat a kept value of a zero entry as exact zero and use the convention
-0^2 / 0 = 0.
+variance and error formula is derived from the record. Every stochastic
+kernel takes one uniform per block and draw; both 2:4 samplers draw the
+kept pair from the running sums of the block's six pair probabilities.
+All functions treat a kept value of a zero entry as exact zero and use
+the convention 0^2 / 0 = 0.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ class EstimatorKind(enum.Enum):
 
     @property
     def is_stochastic(self) -> bool:
-        return METHODS[self].draws > 0
+        return METHODS[self].kept_set_probs is not None
 
     @property
     def is_unbiased(self) -> bool:
@@ -304,9 +307,6 @@ PAIR_INDEX_COLUMNS: tuple[tuple[int, int], ...] = tuple(
 _PAIR_BITS = ((1 << _PAIR_FIRST) | (1 << _PAIR_SECOND)).astype(np.uint8)
 # Columns of the pairs (k, 3) that join the max with one of the zeros.
 _THREE_ZERO_COLUMNS = np.array([2, 4, 5], dtype=np.uint8)
-# Per pair column, the positions it keeps; per position, the other three.
-_PAIR_KEEP = (_PAIR_BITS[:, None] >> np.arange(4) & 1).astype(bool)
-_OTHERS = 1.0 - np.eye(4)
 
 
 def _sort4(mags_t: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -346,6 +346,17 @@ def _exact24_sums(mags_t: np.ndarray):
     return ranks, scale, sums, all_zero, (small == 0.0) & (b4 > 0.0)
 
 
+def _count_at_or_below(u: np.ndarray, total: np.ndarray, sums) -> np.ndarray:
+    """Pair column drawn by (draws, n) uniforms: the uint8 count of the (n,)
+    running sums at or below u * total. A column of probability 0 repeats
+    a sum and is never drawn."""
+    x = u * total
+    col = (x >= sums[0]).view(np.uint8)
+    for running in sums[1:]:
+        col += x >= running
+    return col
+
+
 def prune_mvue24_exact_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-variance unbiased 2:4 pruning, one uniform per block and
     draw, u of shape (..., n) for (n, 4) blocks. Draws the pair from the
@@ -357,18 +368,16 @@ def prune_mvue24_exact_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndar
     lead, u = u.shape[:-1], u.reshape(math.prod(u.shape[:-1]), len(values))
     values, mags_t, exponent = _in_range(values)
     ranks, scale, sums, all_zero, three_zero = _exact24_sums(mags_t)
-    x = u * scale
-    # Count the running sums at or below x; the leading 0 always is.
-    col = (x >= sums[0]).view(np.uint8) + 1
-    for running in sums[1:]:
-        col += x >= running
+    # The leading 0 is always at or below u * scale.
+    col = _count_at_or_below(u, scale, sums)
+    col += 1
     # Degenerate blocks: ties among zeros are resolved uniformly.
     if all_zero is not None:
         np.copyto(col, (6.0 * u).astype(np.uint8), where=all_zero)
     if np.count_nonzero(three_zero):
         np.copyto(col, _THREE_ZERO_COLUMNS[(3.0 * u).astype(np.intp)], where=three_zero)
     # Free the draw's rows before the output's are made.
-    del sums, all_zero, three_zero, x
+    del sums, all_zero, three_zero
 
     # An entry is kept when the chosen pair holds its rank.
     keep = np.bitwise_and(_PAIR_BITS[col] >> ranks[:, None], 1).view(bool)
@@ -423,149 +432,109 @@ def exact24_pair_probs(values: np.ndarray) -> np.ndarray:
 # Approximate 2:4 estimator
 #
 # Two sequential draws without replacement, both magnitude-proportional:
-# the first index with probability |a_i| / S, the second with probability
-# |a_j| / (S - |a_first|). Survivors are rescaled by the inverse of their
-# inclusion probability, restoring unbiasedness at the cost of variance at
-# most 2x the optimum. When the remaining mass after the first draw is
-# zero, the partner is chosen uniformly among the remaining indices. Each
-# draw compares u times the mass with running sums of the magnitudes, so
-# neither divides by S or by S - |a_first|.
+# the first index i with probability |a_i| / S, its partner j with
+# probability |a_j| / (S - |a_i|), or uniformly if the first took the
+# whole mass. Survivors are rescaled by the inverse of their inclusion
+# probability, restoring unbiasedness at the cost of variance at most 2x
+# the optimum. The pair {i, j} is kept with probability
+#   (|a_i| / S) |a_j| / (S - |a_i|) + (|a_j| / S) |a_i| / (S - |a_j|),
+# each S - |a_k| the sum of the other three: ratios of sums, free of scale
+# and of differences. The sampler draws the pair from the running sums of
+# these six with one uniform, as mvue24 does, and an entry's p and q are
+# the sums of the three pairs with and without it.
 
+# Per position, the other three, and the pair columns with and without it.
+_OTHER_POSITIONS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_KEPT_BY = _PAIR_COLUMN[np.arange(4)[:, None], _OTHER_POSITIONS]
+_DROPPED_BY = np.array([[_PAIR_COLUMN[i, j] for i, j in itertools.combinations(others, 2)]
+                        for others in _OTHER_POSITIONS])
 _POSITIONS = np.arange(4, dtype=np.uint8)[:, None, None]
 
 
-def _draw_by_running_sums(
-    weights: np.ndarray, fallback: np.ndarray | float, u: np.ndarray
-) -> np.ndarray:
-    """One-hot (4, draws, n) draws by (draws, n) uniforms u from (4, n)
-    or (4, draws, n) weights, P(k) = weight_k / total.
-
-    Columns whose total is zero, or not finite because an input is not,
-    draw from ``fallback`` instead, so two draws never land on one entry.
-    The running sums add top to bottom, as a row sum of the blocks does,
-    so a zero last weight leaves the total equal to the last running sum,
-    and u < 1 never reaches it: zero weights are never drawn. The weights
-    are quartered first, so four finite weights cannot sum to infinity;
-    for normal numbers that scaling is exact and changes no comparison.
-    """
-    w0, w1, w2, w3 = 0.25 * weights
-    cum1 = w0 + w1
-    cum2 = cum1 + w2
-    total = cum2 + w3
-    unusable = (total == 0.0) | ~np.isfinite(total)
-    if np.count_nonzero(unusable):
-        return _draw_by_running_sums(np.where(unusable, fallback, weights), fallback, u)
-    x = u * total
-    index = (x >= w0).view(np.uint8)
-    index += x >= cum1
-    index += x >= cum2
-    return index == _POSITIONS
-
-
-def _approx24_exclusion_rows(mags_t: np.ndarray) -> np.ndarray:
-    """Exclusion probabilities of (4, n) magnitude rows of in-range blocks,
-    written over them to save memory."""
-    m0, m1, m2, m3 = mags_t
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        # Added left to right, the order of a row sum.
-        total = m0 + m1 + m2 + m3
-        ps01 = m0 + m1
-        ps02 = m0 + m2
-        ps03 = m0 + m3
-        ps12 = m1 + m2
-        ps13 = m1 + m3
-        ps23 = m2 + m3
-        # Mass remaining after a first draw of k, formed by addition only.
-        w0 = np.divide(m0, m1 + ps23)
-        w1 = np.divide(m1, m0 + ps23)
-        w2 = np.divide(m2, m3 + ps01)
-        w3 = np.divide(m3, m2 + ps01)
-        # Where one entry holds the whole mass, or all but a share that
-        # m / rest overflows on, the pair probabilities give the column.
-        odd = ~(np.isfinite(w0) & np.isfinite(w1) & np.isfinite(w2) & np.isfinite(w3))
-        odd_mags = mags_t[:, odd].T if np.count_nonzero(odd) else None
-        # Divide by the total: its reciprocal overflows for subnormal totals.
-        np.divide(w1 * ps23 + w2 * ps13 + w3 * ps12, total, out=m0)
-        np.divide(w0 * ps23 + w2 * ps03 + w3 * ps02, total, out=m1)
-        np.divide(w0 * ps13 + w1 * ps03 + w3 * ps01, total, out=m2)
-        np.divide(w0 * ps12 + w1 * ps02 + w2 * ps01, total, out=m3)
-    probs = np.minimum(mags_t, 1.0, out=mags_t)
-    if odd_mags is not None:
-        probs[:, odd] = (_approx24_pairs(odd_mags) @ ~_PAIR_KEEP).T
-    return probs
-
-
-def approx24_exclusion_probs(values: np.ndarray) -> np.ndarray:
-    """P(entry dropped) under the sequential sampler, per block entry.
-
-    Entry i is dropped when both draws land elsewhere:
-        q_i = sum_{k != i} (|a_k| / S) * (|a_j| + |a_l|) / (S - |a_k|)
-    where {j, l} are the two positions other than i and k, and S - |a_k|
-    is formed by adding the other three magnitudes. Every factor is a sum
-    of magnitudes, never a difference, so a near-certain survivor (q_i
-    around 1e-12) keeps full relative precision where 1 - inclusion would
-    be pure rounding noise.
-    """
-    mags_t = _in_range(_block_matrix(values, 4))[1]
-    return np.ascontiguousarray(_approx24_exclusion_rows(mags_t).T)
-
-
-# Per position, the other three.
-_OTHER_POSITIONS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-
-
-def _approx24_deviation(values: np.ndarray) -> np.ndarray:
-    """q |a| / p per entry, at the block's own scale. The survivor |a| / p
-    is |a| / (1 - q) while q < 1. Where p rounds to 0 it is the ratio of
-    sums S / (1 + sum_{k != i} w_k), w_k = |a_k| / (S - |a_k|), since
-    p_i = |a_i| (1 + sum_{k != i} w_k) / S: entry i is drawn first, or
-    second after some k."""
-    _, mags_t, exponent = _in_range(values)
-    q = _approx24_exclusion_rows(mags_t.copy())
+def _approx24_pair_rows(mags_t: np.ndarray) -> np.ndarray:
+    """(6, n) pair probabilities of (4, n) magnitude rows of in-range
+    blocks, one first pick at a time to hold few rows. An all-zero block
+    draws its first pick uniformly."""
+    total = mags_t[0] + mags_t[1] + mags_t[2] + mags_t[3]
     with np.errstate(invalid="ignore", divide="ignore"):
-        w = mags_t / (_OTHERS @ mags_t)
-        rare = mags_t.sum(axis=0) / (1.0 + w[_OTHER_POSITIONS].sum(axis=1))
-        survivor = np.where(q < 1.0, mags_t / (1.0 - q), rare)
-    return _unscale(q * survivor, exponent).T
+        share = mags_t / total
+        share[:, total == 0.0] = 0.25
+        del total
+        pairs = np.zeros((6, mags_t.shape[1]))
+        for i, (j, k, l) in enumerate(_OTHER_POSITIONS):
+            rest = mags_t[j] + mags_t[k] + mags_t[l]
+            empty = rest == 0.0
+            for partner in (j, k, l):
+                term = mags_t[partner] / rest
+                term[empty] = 1.0 / 3.0
+                term *= share[i]
+                pairs[_PAIR_COLUMN[i, partner]] += term
+    return pairs
 
 
-def _approx24_pairs(mags: np.ndarray) -> np.ndarray:
-    """Pair probabilities of (n, 4) magnitudes, columns PAIR_INDEX_COLUMNS:
-    either entry drawn first, then the other, with the mass left after a
-    first draw formed by addition. A first draw that holds the whole mass
-    leaves a uniform partner; an all-zero block draws its pairs uniformly."""
-    total = mags.sum(axis=1, keepdims=True)
-    rest = mags @ _OTHERS
-    first, second = mags[:, _PAIR_FIRST], mags[:, _PAIR_SECOND]
-    rest_first, rest_second = rest[:, _PAIR_FIRST], rest[:, _PAIR_SECOND]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        second_after_first = np.where(rest_first > 0.0, second / rest_first, 1.0 / 3.0)
-        first_after_second = np.where(rest_second > 0.0, first / rest_second, 1.0 / 3.0)
-        pairs = (first / total) * second_after_first + (second / total) * first_after_second
-    return np.where(total > 0.0, pairs, 1.0 / 6.0)
+def _pair_sums(pairs: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """(4, n) sums of (6, n) pair rows, per position the three of its row
+    of ``columns``: p for _KEPT_BY, q for _DROPPED_BY."""
+    sums = pairs[columns[:, 0]]
+    sums += pairs[columns[:, 1]]
+    sums += pairs[columns[:, 2]]
+    return sums
 
 
 def approx24_pair_probs(values: np.ndarray) -> np.ndarray:
     """Pair probabilities for the sequential sampler, columns PAIR_INDEX_COLUMNS."""
-    return _approx24_pairs(np.abs(_in_range(_block_matrix(values, 4))[0]))
+    return np.ascontiguousarray(_approx24_pair_rows(_in_range(_block_matrix(values, 4))[1]).T)
+
+
+def _approx24_probs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) per block entry, sums of the three pair probabilities with
+    and without it."""
+    pairs = approx24_pair_probs(values).T
+    return tuple(np.ascontiguousarray(_pair_sums(pairs, c).T) for c in (_KEPT_BY, _DROPPED_BY))
+
+
+def approx24_exclusion_probs(values: np.ndarray) -> np.ndarray:
+    """P(entry dropped) under the sequential sampler, per block entry: a
+    sum of pair probabilities, so a near-certain survivor (q around 1e-12)
+    keeps full relative precision where 1 - p would be rounding noise."""
+    return _approx24_probs(values)[1]
+
+
+def _approx24_deviation(values: np.ndarray) -> np.ndarray:
+    """q |a| / p per entry, at the block's own scale. The survivor |a| / p
+    is the ratio of sums S / (1 + sum_{k != i} w_k), w_k = |a_k| / (S -
+    |a_k|), since p_i = |a_i| (1 + sum_{k != i} w_k) / S: entry i is drawn
+    first, or second after some k. It holds where p rounds to 0."""
+    _, mags_t, exponent = _in_range(values)
+    q = _pair_sums(_approx24_pair_rows(mags_t), _DROPPED_BY)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = mags_t / mags_t[_OTHER_POSITIONS].sum(axis=1)
+        survivor = mags_t.sum(axis=0) / (1.0 + w[_OTHER_POSITIONS].sum(axis=1))
+    return _unscale(q * survivor, exponent).T
 
 
 def prune_mvue24_approx_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sequential magnitude-proportional 2:4 pruning, two uniforms per
-    block and draw, u of shape (..., n, 2) for (n, 4) blocks. Float32
-    blocks are widened by the ufuncs, not copied."""
+    """Sequential magnitude-proportional 2:4 pruning, one uniform per block
+    and draw, u of shape (..., n) for (n, 4) blocks. Draws the pair from
+    the running sums of its probabilities and divides each survivor by p,
+    the sum of its three pairs, both formed once per block. Float32 blocks
+    are widened by the ufuncs, not copied."""
     values = _float_blocks(values, 4)
-    lead, u = u.shape[:-2], u.reshape(math.prod(u.shape[:-2]), len(values), 2)
+    lead, u = u.shape[:-1], u.reshape(math.prod(u.shape[:-1]), len(values))
     values, mags_t, exponent = _in_range(values)
-    # An all-zero block draws as if its magnitudes were equal; when the
-    # first pick holds the whole mass, the partner is uniform over the rest.
-    first = _draw_by_running_sums(mags_t, 1.0, u[..., 0])
-    second = _draw_by_running_sums(mags_t[:, None] * ~first, ~first, u[..., 1])
-    q = _approx24_exclusion_rows(mags_t)
+    pairs = _approx24_pair_rows(mags_t)
+    del mags_t
+    p = _pair_sums(pairs, _KEPT_BY)
+    # An entry with p = 0 is never kept.
     with np.errstate(invalid="ignore", divide="ignore"):
-        survivors = _unscale(np.where(values.T != 0.0, values.T / (1.0 - q), 0.0), exponent)
-    np.bitwise_or(first, second, out=first)
-    return _from_rows(_where_kept(first, survivors[:, None]), lead), _from_rows(first, lead)
+        survivors = _unscale(np.where(values.T != 0.0, values.T / p, 0.0), exponent)
+    del p
+    for c in range(1, 6):
+        pairs[c] += pairs[c - 1]  # running sums, far faster than np.cumsum on rows
+    col = _count_at_or_below(u, pairs[5], pairs[:5])
+    del pairs
+    keep = np.bitwise_and(_PAIR_BITS[col] >> _POSITIONS, 1).view(bool)
+    return _from_rows(_where_kept(keep, survivors[:, None]), lead), _from_rows(keep, lead)
 
 
 # ---------------------------------------------------------------------------
@@ -577,16 +546,17 @@ class Method:
     """One pruning method.
 
     ``kernel(values, u, pattern)`` draws (k, m) blocks r times, u of shape
-    (r, k, draws) with ``draws`` uniforms per block and draw, doing each
-    block's work once, and returns (values, keep mask), broadcastable to
-    (r, k, m). A kernel that reads magnitudes draws each out-of-range block
-    at a power-of-two scale and scales its survivors back, so a block's
-    draws are exact at every finite scale and do not depend on the other
-    blocks; greedy and the coins read none and are never scaled.
-    ``probs(values, pattern)`` gives each entry's keep and drop
-    probabilities (p, q), formed separately so that neither loses
-    precision near 0. ``kept_set_probs(values)`` gives the kept-index sets
-    and, per block, their probabilities. With ``rescale`` survivors are
+    (r, k), one uniform per block and draw, doing each block's work once,
+    and returns (values, keep mask), broadcastable to (r, k, m). A kernel
+    that reads magnitudes draws each out-of-range block at a power-of-two
+    scale and scales its survivors back, so a block's draws are exact at
+    every finite scale and do not depend on the other blocks; greedy and
+    the coins read none and are never scaled. ``probs(values, pattern)``
+    gives each entry's keep and drop probabilities (p, q), formed
+    separately so that neither loses precision near 0.
+    ``kept_set_probs(values)`` gives the kept-index sets and, per block,
+    their probabilities; it is None for greedy, the one deterministic
+    method, whose kernel takes no uniforms. With ``rescale`` survivors are
     divided by p (Horvitz-Thompson), which makes the method unbiased.
 
     Per entry, the expected squared error is a^2 q / p rescaled and a^2 q
@@ -600,7 +570,6 @@ class Method:
     """
 
     pattern: SparsityPattern | None  # None: any pattern
-    draws: int
     kernel: Callable
     probs: Callable
     kept_set_probs: Callable | None
@@ -624,16 +593,17 @@ def _deviation12(values: np.ndarray, proportional: bool, rescale: bool) -> np.nd
         return mags if rescale else 0.5 * mags
     if rescale:
         return mags[:, ::-1]
-    share = _proportional12(values)[0].max(axis=1, keepdims=True)
-    return np.repeat(mags.min(axis=1, keepdims=True) * share, 2, axis=1)
+    # The two columns compared, far faster than a reduction along rows.
+    d = np.minimum(*mags.T) * np.maximum(*_proportional12(values)[0].T)
+    return np.repeat(d[:, None], 2, axis=1)
 
 
 def _method12(proportional: bool, rescale: bool) -> Method:
     probs = _proportional12 if proportional else (
         lambda v: _with_complement(np.full(_block_matrix(v, 2).shape, 0.5)))
     return Method(
-        PATTERN_12, 1,
-        lambda v, u, _: prune_mvue12_array(v, u[..., 0], proportional, rescale),
+        PATTERN_12,
+        lambda v, u, _: prune_mvue12_array(v, u, proportional, rescale),
         lambda v, _: probs(v),
         lambda v: (_ONE_OF_TWO, probs(v)[0]),
         rescale,
@@ -643,7 +613,7 @@ def _method12(proportional: bool, rescale: bool) -> Method:
 
 METHODS: dict[EstimatorKind, Method] = {
     EstimatorKind.GREEDY_MSE: Method(
-        None, 0,
+        None,
         lambda v, u, pattern: prune_greedy_array(v, pattern),
         lambda v, pattern: _with_complement(greedy_mask_array(v, pattern).astype(np.float64)),
         None,
@@ -652,17 +622,17 @@ METHODS: dict[EstimatorKind, Method] = {
     ),
     EstimatorKind.MVUE12: _method12(proportional=True, rescale=True),
     EstimatorKind.MVUE24_EXACT: Method(
-        PATTERN_24, 1,
-        lambda v, u, _: prune_mvue24_exact_array(v, u[..., 0]),
+        PATTERN_24,
+        lambda v, u, _: prune_mvue24_exact_array(v, u),
         lambda v, _: _with_complement(exact24_marginal_probs(v)),
         lambda v: (PAIR_INDEX_COLUMNS, exact24_pair_probs(v)),
         True,
         lambda v, _: _exact24_deviation(_block_matrix(v, 4)),
     ),
     EstimatorKind.MVUE24_APPROX: Method(
-        PATTERN_24, 2,
+        PATTERN_24,
         lambda v, u, _: prune_mvue24_approx_array(v, u),
-        lambda v, _: _with_complement(approx24_exclusion_probs(v))[::-1],
+        lambda v, _: _approx24_probs(v),
         lambda v: (PAIR_INDEX_COLUMNS, approx24_pair_probs(v)),
         True,
         lambda v, _: _approx24_deviation(_block_matrix(v, 4)),
@@ -751,21 +721,24 @@ def prune_array(
     exactly the uniforms of one draw. Leading axes of stride 0, as from
     np.broadcast_to, repeat the blocks; the kernel gets them once, widened
     to float64 if stochastic. Out-of-range blocks are the kernels' to
-    scale (see Method); a survivor beyond float64 is +-inf.
+    scale (see Method); a survivor beyond float64 is +-inf. Blocks that
+    hold inf or NaN raise ValueError, a repeated block checked once.
     """
     pattern = resolve_pattern(kind, pattern)
     values = _float_data(values)
     if values.ndim < 2 or values.shape[-1] != pattern.m:
         raise ValueError(f"expected a (..., {pattern.m}) array of blocks, got shape {values.shape}")
     method = METHODS[kind]
-    if method.draws and stream is None:
+    if kind.is_stochastic and stream is None:
         raise ValueError(f"method {kind.value!r} is stochastic and needs a RandomStream")
 
     def kernel(part: np.ndarray, reps: int) -> list[np.ndarray]:
         # The first reps axes repeat the blocks, copied only if not one (k, m) view.
         blocks = part[(0,) * reps].reshape(-1, pattern.m)
+        if not np.isfinite(blocks).all():
+            raise ValueError(f"method {kind.value!r} needs finite blocks, got inf or NaN")
         draws = math.prod(part.shape[:reps])
-        u = stream.uniforms((draws, len(blocks), method.draws)) if method.draws else None
+        u = stream.uniforms((draws, len(blocks))) if kind.is_stochastic else None
         out, mask = method.kernel(blocks, u, pattern)
         # Greedy's (k, m) results broadcast over the repeats when written.
         return [a.reshape(part.shape[reps:] if a.ndim == 2 else part.shape) for a in (out, mask)]

@@ -406,14 +406,14 @@ class TestVerifyEstimator:
     def verify_rare_pair_block(self, monkeypatch):
         monkeypatch.setattr(analysis, "random_test_blocks", lambda *a, **k: self.RARE_PAIR_BLOCK)
         return verify_estimator(
-            EstimatorKind.MVUE24_APPROX, num_blocks=1, samples=10_000, seed=87
+            EstimatorKind.MVUE24_APPROX, num_blocks=1, samples=10_000, seed=229
         )
 
     def test_rare_kept_set_drawn_twice_passes(self, monkeypatch):
-        # Seed 87 draws the rare pair twice in 10,000 draws; the normal
+        # Seed 229 draws the rare pair twice in 10,000 draws; the normal
         # approximation reads that as z = 5.33, the exact tail as z = 2.45.
         block = Block(self.RARE_PAIR_BLOCK[0])
-        report = mc_estimate(block, EstimatorKind.MVUE24_APPROX, 10_000, seed=87)
+        report = mc_estimate(block, EstimatorKind.MVUE24_APPROX, 10_000, seed=229)
         assert round(report.pair_frequencies[(2, 3)] * 10_000) == 2
         checks = self.verify_rare_pair_block(monkeypatch)
         assert all(c.passed for c in checks), [c.detail for c in checks if not c.passed]

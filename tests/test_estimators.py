@@ -73,7 +73,7 @@ def exact24_variance(values) -> np.ndarray:
 
 
 def approx24_inclusion(values) -> np.ndarray:
-    return 1.0 - approx24_exclusion_probs(np.asarray(values))
+    return METHODS[EstimatorKind.MVUE24_APPROX].probs(np.asarray(values, dtype=float), None)[0]
 
 
 def variance_from_probs(values, probs) -> np.ndarray:
@@ -147,6 +147,22 @@ def oracle_eq17_inclusion(mags):
                 p += Fraction(b, total) * Fraction(a, total - b)
         probs.append(p)
     return probs
+
+
+def oracle_sequential_pairs(mags) -> dict:
+    """Law of the kept pair under two sequential draws, as exact fractions:
+    the first pick by magnitude (uniform for an all-zero block), then the
+    partner by magnitude among the other three (uniform if they are all 0)."""
+    mags = [abs(Fraction(v)) for v in mags]
+    total = sum(mags)
+    law = dict.fromkeys(PAIR_INDEX_COLUMNS, Fraction(0))
+    for i, a in enumerate(mags):
+        first = a / total if total else Fraction(1, 4)
+        rest = total - a
+        for j, b in enumerate(mags):
+            if j != i:
+                law[tuple(sorted((i, j)))] += first * (b / rest if rest else Fraction(1, 3))
+    return law
 
 
 def oracle_variance(mags, probs):
@@ -703,33 +719,18 @@ def reference_exact24(values: np.ndarray, u: np.ndarray):
 
 
 def reference_approx24(values: np.ndarray, u: np.ndarray):
-    mags = np.abs(values)
+    # The pair table is in index order already.
+    col = inverse_cdf_sample(approx24_pair_probs(values), u)
     rows = np.arange(len(values))
-    total = mags.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        first = inverse_cdf_sample(np.where(total > 0.0, mags / total, 0.25), u[:, 0])
-        rest_mags = mags.copy()
-        rest_mags[rows, first] = 0.0
-        rest = rest_mags.sum(axis=1, keepdims=True)
-        uniform_rest = np.full(values.shape, 1.0 / 3.0)
-        uniform_rest[rows, first] = 0.0
-        second = inverse_cdf_sample(
-            np.where(rest > 0.0, rest_mags / rest, uniform_rest), u[:, 1]
-        )
     mask = np.zeros(values.shape, dtype=bool)
-    mask[rows, first] = True
-    mask[rows, second] = True
-    probs = np.full(values.shape, 0.5)
-    nonzero = total[:, 0] > 0.0
-    probs[nonzero] = approx24_inclusion(values[nonzero])
+    for k in range(2):
+        mask[rows, np.array(PAIR_INDEX_COLUMNS)[col, k]] = True
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(mask & (values != 0.0), values / probs, 0.0)
+        out = np.where(mask & (values != 0.0), values / approx24_inclusion(values), 0.0)
     return out, mask
 
 
-def reference_blocks() -> np.ndarray:
-    """Mixed random rows plus the C3 oracle, tie and degenerate blocks,
-    each special block repeated with signs and under a permutation."""
+def _special_blocks() -> np.ndarray:
     special = np.array(
         [
             [1.0, 2.0, 3.0, 4.0],
@@ -747,9 +748,18 @@ def reference_blocks() -> np.ndarray:
         ]
     )
     special = np.concatenate([special, special[:, [2, 0, 3, 1]]])
-    signs = np.array([1.0, -1.0, 1.0, -1.0])
+    return special * np.array([1.0, -1.0, 1.0, -1.0])
+
+
+# The C3 oracle, tie and degenerate blocks, each with signs and under a
+# permutation.
+SPECIAL_BLOCKS = _special_blocks()
+
+
+def reference_blocks() -> np.ndarray:
+    """Mixed random rows plus SPECIAL_BLOCKS, each repeated."""
     return np.concatenate(
-        [random_test_blocks(20_000, 4, seed=60), np.repeat(special * signs, 2_000, axis=0)]
+        [random_test_blocks(20_000, 4, seed=60), np.repeat(SPECIAL_BLOCKS, 2_000, axis=0)]
     )
 
 
@@ -766,11 +776,52 @@ class TestSamplersMatchReferenceDraw:
 
     def test_approx24_same_masks_and_values(self):
         blocks = reference_blocks()
-        u = RandomStream(62).uniforms((len(blocks), 2))
+        u = RandomStream(62).uniforms(len(blocks))
         out, mask = prune_mvue24_approx_array(blocks, u)
         ref_out, ref_mask = reference_approx24(blocks, u)
         np.testing.assert_array_equal(mask, ref_mask)
         np.testing.assert_array_equal(out.view(np.int64), ref_out.view(np.int64))
+
+    def test_approx24_table_is_the_law_of_two_sequential_draws(self):
+        # The table the sampler inverts, against the exact law of the
+        # first pick and its partner, within the table's few roundings.
+        for block in SPECIAL_BLOCKS:
+            law = oracle_sequential_pairs(block)
+            want = [float(law[pair]) for pair in PAIR_INDEX_COLUMNS]
+            got = approx24_pair_probs(block[None, :])[0]
+            np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+class MidpointStream:
+    """Stands in for a RandomStream: n draws of one block get the
+    midpoints of n equal cells of [0, 1)."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def uniforms(self, shape):
+        assert shape == (self.n, 1)
+        return ((np.arange(self.n) + 0.5) / self.n).reshape(shape)
+
+
+class TestGridLaw:
+    """Given its uniforms a sampler is a map to kept sets. Fed the
+    midpoints of N equal cells, each pair, one interval of u, is kept with
+    a frequency within a few 1/N of its table probability: deterministic,
+    with no seed and no sampling error."""
+
+    N = 4096
+
+    @pytest.mark.parametrize("kind", [EstimatorKind.MVUE24_EXACT, EstimatorKind.MVUE24_APPROX])
+    def test_pair_frequencies_match_the_table(self, kind):
+        blocks = np.concatenate([SPECIAL_BLOCKS, random_test_blocks(200, 4, seed=63)])
+        sets, table = METHODS[kind].kept_set_probs(blocks)
+        codes = np.array([(1 << i) | (1 << j) for i, j in sets])
+        for block, probs in zip(blocks, table):
+            tiled = np.broadcast_to(block, (self.N, 4))
+            mask = prune_array(tiled, kind, None, MidpointStream(self.N))[1]
+            freqs = np.bincount(mask @ (1 << np.arange(4)), minlength=16)[codes] / self.N
+            assert np.all(np.abs(freqs - probs) <= 6 / self.N), (block, freqs, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -880,6 +931,17 @@ class TestDispatch:
         with pytest.raises(ValueError):
             prune_array(np.zeros((1, 2)), EstimatorKind.MVUE12, P12, None)
 
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_blocks_raise(self, kind, bad, dtype):
+        pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
+        values = random_test_blocks(3, pattern.m, seed=62).astype(dtype)
+        values[1, -1] = bad
+        for blocks in (values, np.broadcast_to(values, (5, *values.shape))):
+            with pytest.raises(ValueError, match="finite"):
+                prune_array(blocks, kind, pattern, RandomStream(63))
+
     def test_method_names_round_trip(self):
         for kind in EstimatorKind:
             assert EstimatorKind.from_name(kind.value) is kind
@@ -957,7 +1019,7 @@ def whole_array_kernel(values: np.ndarray, kind: EstimatorKind, seed: int):
     uniforms of one draw."""
     pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
     method = METHODS[kind]
-    u = RandomStream(seed).uniforms((1, len(values), method.draws)) if method.draws else None
+    u = RandomStream(seed).uniforms((1, len(values))) if kind.is_stochastic else None
     out, mask = method.kernel(values, u, pattern)
     return out.reshape(values.shape), mask.reshape(values.shape)
 
@@ -1016,8 +1078,8 @@ class TestPruneArrayChunks:
         stream = RandomStream(99)
         prune_array(values, kind, pattern, stream)
         reference = RandomStream(99)
-        if METHODS[kind].draws:
-            reference.uniforms((len(values), METHODS[kind].draws))
+        if kind.is_stochastic:
+            reference.uniforms(len(values))
         np.testing.assert_array_equal(stream.uniforms(8), reference.uniforms(8))
 
     # unbiased-uniform doubles 1e308: a survivor beyond float64 is inf.
@@ -1044,7 +1106,7 @@ class TestPruneArrayChunks:
             calls.append(len(v))
             if len(calls) == failing_chunk + 1:
                 raise ValueError("bad chunk")
-            return prune_mvue12_array(v, u[..., 0])
+            return prune_mvue12_array(v, u)
 
         method = dataclasses.replace(METHODS[EstimatorKind.MVUE12], kernel=failing)
         monkeypatch.setitem(estimators.METHODS, EstimatorKind.MVUE12, method)
@@ -1059,7 +1121,7 @@ class TestPruneArrayChunks:
 
         def recording(v, u, pattern):
             seen.append(np.geterr()["over"])
-            return prune_mvue12_array(v, u[..., 0])
+            return prune_mvue12_array(v, u)
 
         method = dataclasses.replace(METHODS[EstimatorKind.MVUE12], kernel=recording)
         monkeypatch.setitem(estimators.METHODS, EstimatorKind.MVUE12, method)
@@ -1269,6 +1331,13 @@ class TestExtremeScaleSamplers:
         self.assert_rates(mask, np.full(4, 0.5))
         np.testing.assert_array_equal(out[mask], np.inf)
 
+    def test_approx24_wide_span_block(self):
+        # Entries 2 and 3 are 2^-1074 beside a 1, beyond float64's range of
+        # it: the pair table holds them as ratios of sums, 1/2 each, and
+        # the zero entry never has a share.
+        _, mask = self.draw([0.0, 1.0, 5e-324, 5e-324], EstimatorKind.MVUE24_APPROX, 121)
+        self.assert_rates(mask, [0.0, 1.0, 0.5, 0.5])
+
     @pytest.mark.parametrize("kind", [EstimatorKind.MVUE24_EXACT, EstimatorKind.MVUE24_APPROX])
     def test_deep_subnormal_block(self, kind):
         # Multiples of the smallest subnormal: quartering or scaling them
@@ -1314,22 +1383,22 @@ class TestExtremeScaleSamplers:
         np.testing.assert_array_equal(got_mask[:200], want_mask)
 
     KERNELS = [
-        (prune_mvue12_array, EstimatorKind.MVUE12, 1),
-        (prune_mvue24_exact_array, EstimatorKind.MVUE24_EXACT, 1),
-        (prune_mvue24_approx_array, EstimatorKind.MVUE24_APPROX, 2),
+        (prune_mvue12_array, EstimatorKind.MVUE12),
+        (prune_mvue24_exact_array, EstimatorKind.MVUE24_EXACT),
+        (prune_mvue24_approx_array, EstimatorKind.MVUE24_APPROX),
     ]
 
-    @pytest.mark.parametrize("kernel,kind,draws", KERNELS)
+    @pytest.mark.parametrize("kernel,kind", KERNELS)
     @pytest.mark.parametrize("unit,scale", [
         ([1.0, 1.0, 1.0, 1.0], 1e308),
         ([1.0, -2.0, 3.0, -4.0], 1e-310),
         ([1.0, -2.0, 3.0, -4.0], 5e-324),
     ])
-    def test_kernels_draw_out_of_range_blocks(self, kernel, kind, draws, unit, scale):
+    def test_kernels_draw_out_of_range_blocks(self, kernel, kind, unit, scale):
         # Called directly, a kernel scales its own out-of-range blocks.
         unit = np.array(unit[: kind.required_pattern.m])
-        u = RandomStream(119).uniforms((self.SAMPLES, 1, draws))
-        out, mask = kernel(unit[None, :] * scale, u if draws == 2 else u[..., 0])
+        u = RandomStream(119).uniforms((self.SAMPLES, 1))
+        out, mask = kernel(unit[None, :] * scale, u)
         out, mask = out.reshape(self.SAMPLES, -1), mask.reshape(self.SAMPLES, -1)
         self.assert_rates(mask, 1.0 - METHODS[kind].probs(unit[None, :], None)[1][0])
         assert not np.any(np.isnan(out))  # finite or +-inf

@@ -24,7 +24,6 @@ from nmsparse.estimators import (
     EstimatorKind,
     approx24_pair_probs,
     elementwise_variance_array,
-    exact24_marginal_probs,
     exact24_pair_probs,
     prune_array,
     prune_tensor,
@@ -34,7 +33,6 @@ from nmsparse.rng import RandomStream
 FIXED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 METHOD = st.sampled_from(list(EstimatorKind))
 STOCHASTIC = st.sampled_from([kind for kind in EstimatorKind if kind.is_stochastic])
-PAIR_KEEP = np.array([[i in pair for i in range(4)] for pair in PAIR_INDEX_COLUMNS])
 # Extreme inputs make numpy warn of the overflows the kernels then undo.
 pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 
@@ -66,14 +64,17 @@ def nonzero(values: np.ndarray) -> bool:
     return bool(np.all(np.any(values != 0.0, axis=1)))
 
 
+@pytest.mark.parametrize("kind", [kind for kind in EstimatorKind if kind.is_stochastic])
 @FIXED
-@given(blocks(4))
-def test_exact24_pairs_are_a_distribution_with_the_marginals(values):
-    pairs = exact24_pair_probs(values)
-    assert np.all(pairs >= 0.0)
-    np.testing.assert_allclose(pairs.sum(axis=1), 1.0, rtol=0, atol=4 * np.spacing(1.0))
-    marginals = exact24_marginal_probs(values)
-    assert np.all(np.abs(pairs @ PAIR_KEEP - marginals) <= 4 * np.spacing(np.maximum(marginals, 0.5)))
+@given(data=st.data())
+def test_kept_sets_are_a_distribution_with_the_marginals(kind, data):
+    values = data.draw(blocks(kind.required_pattern.m))
+    sets, table = METHODS[kind].kept_set_probs(values)
+    keep = np.array([[i in kept for i in range(values.shape[1])] for kept in sets])
+    assert np.all(table >= 0.0)
+    np.testing.assert_allclose(table.sum(axis=1), 1.0, rtol=0, atol=4 * np.spacing(1.0))
+    marginals = probs(kind, values)[0]
+    assert np.all(np.abs(table @ keep - marginals) <= 4 * np.spacing(np.maximum(marginals, 0.5)))
 
 
 @FIXED
