@@ -681,9 +681,15 @@ def mvue12_variance_array(values: np.ndarray) -> np.ndarray:
     return elementwise_variance_array(values, EstimatorKind.MVUE12).sum(axis=1)
 
 
+def _row_sum4(rows: np.ndarray) -> np.ndarray:
+    """Sums of (n, 4) rows, their columns added left to right: the bits of
+    ``rows.sum(axis=1)``, without numpy's slow reduction along a 4-long axis."""
+    return rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
+
+
 def approx24_variance_array(values: np.ndarray) -> np.ndarray:
     """Total variance of the sequential 2:4 estimator per block."""
-    return entry_moments(values, EstimatorKind.MVUE24_APPROX)[0].sum(axis=1)
+    return _row_sum4(entry_moments(values, EstimatorKind.MVUE24_APPROX)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,46 @@ class TestScanSummary:
         assert rows[1]["ratio"] == ""
         assert float(rows[1]["a3"]) == 0.2
         assert all(r["ratio"] for k, r in enumerate(rows) if k != 1)
+
+    def test_values_are_told_apart_by_bits(self, tmp_path, monkeypatch):
+        # 0.0 and -0.0 compare equal but print differently, so a dedupe
+        # keyed on float values (np.unique merges them) writes one wrong.
+        ratio_chunk = analysis._ratio_chunk
+
+        def signed_zeros_and_nan(points):
+            var_exact, var_approx, ratio = (v.copy() for v in ratio_chunk(points))
+            if points[0, 0] == 0.1:
+                var_approx[:2] = 0.0, -0.0
+                var_approx[5] = 0.0
+                var_exact[3] = np.nan
+            elif points[0, 0] == 0.2:
+                var_approx[7] = -0.0
+            return var_exact, var_approx, ratio
+
+        monkeypatch.setattr(analysis, "_ratio_chunk", signed_zeros_and_nan)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        assert scan_summary(step=0.1, csv_path=got) == reference_scan_csv(want, 0.1)
+        assert got.read_bytes() == want.read_bytes()
+        rows = read_scan_csv(got)
+        assert [rows[k]["var_approx"] for k in (0, 1, 5, 107)] == ["0.0", "-0.0", "0.0", "-0.0"]
+        assert rows[3]["var_exact"] == "nan" and rows[3]["ratio"]
+
+
+class TestScanMemory:
+    # What the CSV scan holds: the distinct value bits and their texts,
+    # 32 bytes per distinct value, and one chunk's fields and lines; no
+    # text of the whole grid. The bound lies between a scan that formats
+    # every field chunk by chunk (1.6 MiB) and one that holds every value
+    # and text at once (18 MiB).
+    def test_peak_at_step_002_stays_under_6_mib(self, tmp_path):
+        tracemalloc.start()
+        try:
+            summary = scan_summary(0.02, csv_path=tmp_path / "scan.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.points == 125_000
+        assert peak <= 6 * 2 ** 20
 
 
 class TestExpectedMacs:
