@@ -89,9 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_prune(args) -> int:
     tensor = tensorio.read_tensor(args.input)
-    # read_tensor blocks the innermost axis, as --axis -1 does.
-    if args.axis not in (tensor.block_axis, tensor.block_axis - len(tensor.shape)):
-        tensor = type(tensor)(tensor.shape, tensor.data, args.axis)
+    tensor = type(tensor)(tensor.shape, tensor.data, args.axis)  # shares the read-only data
     pattern = estimators.resolve_pattern(args.method, args.pattern)
     stream = RandomStream(args.seed)
     pruned = estimators.prune_tensor(tensor, args.method, pattern, stream)

@@ -8,6 +8,7 @@ that is carried through unpruned (never padded).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -180,28 +181,32 @@ def _split_blocks(t: BlockedTensor, m: int) -> tuple[np.ndarray, np.ndarray]:
     return blocks, tail.reshape(tail.shape[0] * tail.shape[1], tail.shape[2])
 
 
-def split_axis(t: BlockedTensor, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of block splitting: blocks (num_blocks, m) and the dense
-    tail (lanes, remainder), carried unpruned.
+# Lanes by blocks of a tile in _copy_blocks, from a measured sweep.
+TILE_LANES, TILE_BLOCKS = 128, 20
 
-    Blocks are ordered lane-major: all blocks of the first lane, then the
-    second, and so on, with lanes enumerated in row-major order of the
-    non-blocked dimensions. Each is a read-only view of t.data where it can
-    be: the blocks when the block axis is innermost and divides by m.
-    """
-    if m not in SUPPORTED_BLOCK_LENGTHS:
-        raise ValueError(f"unsupported block length m={m}")
-    if not np.all(np.isfinite(t.data)):
-        raise ValueError("non-finite data cannot be split into blocks")
-    blocks, tail = _split_blocks(t, m)
-    return blocks.reshape(-1, m), tail
+
+def _copy_blocks(src: np.ndarray, dest: np.ndarray | None = None) -> np.ndarray:
+    """dest[...] = src for (..., lanes, blocks, m) arrays, one a lane view;
+    returns dest, a new row-major array if None. numpy copies in dest's
+    order; where the tensor's rows are wider than TILE_LANES, a tile at a
+    time keeps both sides in cache and the TLB."""
+    dest = np.empty(src.shape, src.dtype) if dest is None else dest
+    if src.ndim < 3 or max(src.strides[-1], dest.strides[-1]) <= TILE_LANES * src.itemsize:
+        dest[...] = src
+        return dest
+    *outer, lanes, blocks, _ = src.shape
+    for *index, lane, block in itertools.product(
+            *map(range, outer), range(0, lanes, TILE_LANES), range(0, blocks, TILE_BLOCKS)):
+        tile = (*index, slice(lane, lane + TILE_LANES), slice(block, block + TILE_BLOCKS))
+        dest[tile] = src[tile]
+    return dest
 
 
 def merge_axis(
     blocks: np.ndarray, tail: np.ndarray, shape: Sequence[int], block_axis: int
 ) -> BlockedTensor:
-    """Inverse of split_axis; validates blocks (num_blocks, m) and tail
-    (lanes, remainder) against the target shape."""
+    """The tensor of its blocks (num_blocks, m), lane-major, and its tail
+    (lanes, remainder), both validated against the target shape."""
     shape = tuple(int(s) for s in shape)
     ndim = len(shape)
     if ndim == 0 or not -ndim <= block_axis < ndim:
@@ -220,7 +225,7 @@ def merge_axis(
         return BlockedTensor(shape, blocks, axis)
     out = np.empty(shape, dtype=np.result_type(blocks, tail))
     whole, rest = _lane_blocks(out, axis, m)
-    whole[...] = blocks.reshape(whole.shape)
+    _copy_blocks(blocks.reshape(whole.shape), whole)
     rest[...] = tail.reshape(rest.shape)
     out.setflags(write=False)
     return BlockedTensor(shape, out, axis)
@@ -239,6 +244,8 @@ def _bit_codes(flags: np.ndarray) -> np.ndarray:
 def _coded(blocks: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Blocks as (num_blocks, m), the tail, and each block's nonzero bit code
     (bit i: entry i nonzero), read-only: the form _coded_split keeps."""
+    if not blocks.flags.c_contiguous:  # a strided lane view
+        blocks = _copy_blocks(blocks)
     blocks = blocks.reshape(-1, blocks.shape[-1])
     codes = _bit_codes(blocks != 0.0)
     codes.setflags(write=False)

@@ -43,6 +43,7 @@ from .core import (
     SparsityPattern,
     _coded,
     _coded_split,
+    _copy_blocks,
     _float_data,
     _split_blocks,
     merge_axis,
@@ -724,11 +725,14 @@ def prune_array(
     whole array repeats one block, as np.empty_like of a broadcast row.
     The kernel runs on chunks of at most PRUNE_CHUNK_BLOCKS blocks, whole
     lanes or part of one, one at a time, each drawing its uniforms in turn:
-    exactly the uniforms of one draw. Leading axes of stride 0, as from
-    np.broadcast_to, repeat the blocks; the kernel gets them once, widened
-    to float64 if stochastic. Out-of-range blocks are the kernels' to
-    scale (see Method); a survivor beyond float64 is +-inf. Blocks that
-    hold inf or NaN raise ValueError, a repeated block checked once.
+    exactly the uniforms of one draw. Blocks not in row-major order, as a
+    lane view of any axis but the innermost, are first copied into the
+    output, which each chunk's results then overwrite. Leading axes of
+    stride 0, as from np.broadcast_to, repeat the blocks; the kernel gets
+    them once, widened to float64 if stochastic. Out-of-range blocks are
+    the kernels' to scale (see Method); a survivor beyond float64 is +-inf.
+    Blocks that hold inf or NaN raise ValueError, a repeated block checked
+    once.
     """
     pattern = resolve_pattern(kind, pattern)
     values = _float_data(values)
@@ -739,7 +743,7 @@ def prune_array(
         raise ValueError(f"method {kind.value!r} is stochastic and needs a RandomStream")
 
     def kernel(part: np.ndarray, reps: int) -> list[np.ndarray]:
-        # The first reps axes repeat the blocks, copied only if not one (k, m) view.
+        # The first reps axes repeat the blocks, row-major: a (k, m) view.
         blocks = part[(0,) * reps].reshape(-1, pattern.m)
         if not np.isfinite(blocks).all():
             raise ValueError(f"method {kind.value!r} needs finite blocks, got inf or NaN")
@@ -754,6 +758,9 @@ def prune_array(
     order = "F" if math.prod(lead[reps:]) == 1 else "C"
     out = np.empty(values.shape, values.dtype, order=order)
     mask = np.empty(values.shape, bool, order=order)
+    distinct = values[(0,) * reps]
+    if not distinct.flags.c_contiguous:  # copied once, into out where not repeated
+        values = np.broadcast_to(_copy_blocks(distinct, None if reps else out), values.shape)
     # Chunks slice one dimension of the blocks' layout, the ones after it whole.
     axis = len(lead) - 1
     while axis and math.prod(lead[axis:]) <= PRUNE_CHUNK_BLOCKS:
@@ -782,7 +789,7 @@ def prune_tensor(
     """Prune every whole block along t.block_axis; the tail passes through.
 
     Keeps the dtype of t.data, which must be finite (read_tensor checks).
-    The blocks are pruned from a view of t, a chunk at a time.
+    The blocks are pruned from a view of t, through prune_array.
     """
     pattern = resolve_pattern(kind, pattern)
     blocks, tail = _split_blocks(t, pattern.m)

@@ -107,11 +107,11 @@ def _float32_payload(values: np.ndarray) -> np.ndarray:
 def _write_atomic(path, parts) -> None:
     """Write the byte strings to a temporary file in path's directory, then
     rename it over path, so a failed write leaves an existing file as it
-    was; the temporary file is removed if a write raises. A symlink's
-    target is replaced, and an existing file keeps its permission bits.
-    A path that exists and is not a regular file, such as a pipe, is
-    written directly."""
-    path = os.path.realpath(path)
+    was; the temporary file is removed if a write raises, and an OSError
+    on it names path. A symlink's target is replaced, and an existing file
+    keeps its permission bits. A path that exists and is not a regular
+    file, such as a pipe, is written directly."""
+    given, path = os.fspath(path), os.path.realpath(path)
     exists = os.path.exists(path)
     if exists and not os.path.isfile(path):
         with open(path, "wb") as fh:
@@ -125,9 +125,11 @@ def _write_atomic(path, parts) -> None:
         if exists:
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, given) from None
         raise
 
 

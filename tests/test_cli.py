@@ -109,6 +109,17 @@ class TestPrune:
         assert rc == EXIT_IO
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["dense", "--compressed"])
+    def test_output_in_missing_directory_names_the_given_path(self, dense_file, tmp_path,
+                                                              capsys, flag):
+        missing = str(tmp_path / "absent" / "o.nmsp")
+        outputs = [missing] if flag == "dense" else [str(tmp_path / "o.nmsp"), flag, missing]
+        rc = main(["prune", str(dense_file[0]), *outputs, "--method", "greedy", "--pattern", "2:4"])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert missing in err and ".tmp" not in err
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
     def test_corrupt_input_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.nmsp"
         bad.write_bytes(b"JUNKJUNKJUNKJUNK")

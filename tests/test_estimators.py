@@ -22,8 +22,8 @@ from nmsparse.core import (
     BlockedTensor,
     SparsityPattern,
     _coded_split,
+    _lane_blocks,
     pattern_violations,
-    split_axis,
 )
 from nmsparse.estimators import (
     METHODS,
@@ -53,6 +53,8 @@ from nmsparse.estimators import (
 )
 from nmsparse.rng import RandomStream
 from nmsparse.tensorio import compress, read_tensor, write_tensor
+
+from reference import split_axis
 
 P12 = SparsityPattern(1, 2)
 P24 = SparsityPattern(2, 4)
@@ -1183,6 +1185,32 @@ class TestPruneArrayRepeats:
             np.testing.assert_array_equal(out.view(bits), ref_out.view(bits))
             np.testing.assert_array_equal(mask, ref_mask)
             np.testing.assert_array_equal(stream.uniforms(4), reference.uniforms(4))
+
+
+VIEW_INPUTS = {
+    "mask_rows_64x64": lambda v: _lane_blocks(v.reshape(64, 64), 1, 4)[0],
+    "one_chunk": lambda v: v.reshape(-1, 4),
+    "one_block_repeated": lambda v: np.broadcast_to(v[:4], (1000, 4)),
+    "blocks_repeated": lambda v: np.broadcast_to(v.reshape(-1, 4)[:100], (10, 100, 4)),
+}
+
+
+@pytest.mark.parametrize("kind", [EstimatorKind.GREEDY_MSE, EstimatorKind.MVUE24_EXACT])
+@pytest.mark.parametrize("layout", list(VIEW_INPUTS))
+def test_kernel_reads_a_view_of_the_input_where_one_serves(kind, layout, monkeypatch):
+    # The small calls of training and verify hand the kernel their blocks
+    # as they are, copying nothing.
+    method = METHODS[kind]
+    shared = []
+
+    def recording(v, u, pattern):
+        shared.append(np.shares_memory(v, values))
+        return method.kernel(v, u, pattern)
+
+    monkeypatch.setitem(estimators.METHODS, kind, dataclasses.replace(method, kernel=recording))
+    values = VIEW_INPUTS[layout](random_test_blocks(1024, 4, seed=116).reshape(-1))
+    prune_array(values, kind, P24, RandomStream(117))
+    assert shared == [True]
 
 
 def test_pruning_and_verify_run_on_the_calling_thread(monkeypatch):

@@ -5,7 +5,6 @@ each checks an identity that must hold for every block, over blocks
 drawn from the whole finite float64 range, zeros and ties included.
 """
 
-import math
 from unittest import mock
 
 import numpy as np
@@ -14,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from nmsparse import estimators
-from nmsparse.core import BlockedTensor, SparsityPattern, _coded_split
+from nmsparse import core, estimators
+from nmsparse.core import BlockedTensor, SparsityPattern, _coded, _coded_split, _split_blocks, merge_axis
 from nmsparse.estimators import (
     METHODS,
     PAIR_INDEX_COLUMNS,
@@ -29,6 +28,9 @@ from nmsparse.estimators import (
     prune_tensor,
 )
 from nmsparse.rng import RandomStream
+from nmsparse.tensorio import compress, decompress
+
+from reference import reference_split
 
 FIXED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 METHOD = st.sampled_from(list(EstimatorKind))
@@ -235,17 +237,6 @@ def test_a_block_within_the_pattern_comes_back_unchanged(kind, dtype, data, k, s
     np.testing.assert_array_equal(out[nonzero].view(bits), values[nonzero].view(bits))
 
 
-def reference_split(t: BlockedTensor, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Whole blocks (num_blocks, m) and tail (lanes, remainder) in lane-major
-    order, read through the block axis moved last and a copy of the whole
-    block region."""
-    moved = np.moveaxis(t.as_array(), t.block_axis, -1)
-    lanes = math.prod(moved.shape[:-1])
-    whole = moved.shape[-1] - moved.shape[-1] % m
-    blocks = np.ascontiguousarray(moved[..., :whole]).reshape(lanes * whole // m, m)
-    return blocks, moved[..., whole:].reshape(lanes, moved.shape[-1] - whole)
-
-
 def reference_prune_tensor(t: BlockedTensor, kind, pattern, stream) -> np.ndarray:
     """prune_tensor through reference_split: one prune_array call on the
     copied block region, written back through the moved axes."""
@@ -258,6 +249,12 @@ def reference_prune_tensor(t: BlockedTensor, kind, pattern, stream) -> np.ndarra
 
 
 GREEDY_PATTERNS = [SparsityPattern(1, 2), PATTERN_24, SparsityPattern(5, 8)]
+# Lanes and blocks per tile of core._copy_blocks: 1, 3 and the real sizes.
+TILES = st.tuples(st.sampled_from([1, 3, core.TILE_LANES]), st.sampled_from([1, 3, core.TILE_BLOCKS]))
+
+
+def tiled(lanes: int, blocks: int):
+    return mock.patch.multiple(core, TILE_LANES=lanes, TILE_BLOCKS=blocks)
 
 
 @settings(FIXED, max_examples=150)
@@ -265,14 +262,15 @@ GREEDY_PATTERNS = [SparsityPattern(1, 2), PATTERN_24, SparsityPattern(5, 8)]
     kind=METHOD,
     dtype=st.sampled_from([np.float32, np.float64]),
     chunk=st.sampled_from([1, 3, 16, PRUNE_CHUNK_BLOCKS]),
+    tiles=TILES,
     data=st.data(),
     seed=st.integers(0, 2**32),
 )
-def test_prune_tensor_matches_the_moved_axis_reference(kind, dtype, chunk, data, seed):
+def test_prune_tensor_matches_the_moved_axis_reference(kind, dtype, chunk, tiles, data, seed):
     # Any 1-4-D shape on any axis, with tails and zero-length dimensions, at
-    # any chunk size: the lane view prunes bit for bit as the copy of the
-    # moved block region did, draws as many uniforms, and leaves with the
-    # output the split that a fresh split of a copy reads.
+    # any chunk and tile size: the lane view prunes bit for bit as the copy
+    # of the moved block region did, draws as many uniforms, and leaves with
+    # the output the split that a fresh split of a copy reads.
     if kind is EstimatorKind.GREEDY_MSE:
         pattern = data.draw(st.sampled_from(GREEDY_PATTERNS))
     else:
@@ -283,7 +281,7 @@ def test_prune_tensor_matches_the_moved_axis_reference(kind, dtype, chunk, data,
     values = data.draw(arrays(np.float64, shape, elements=elements)).astype(dtype)
     t = BlockedTensor.from_array(values, block_axis=axis)
     stream, ref_stream = RandomStream(seed), RandomStream(seed)
-    with mock.patch.object(estimators, "PRUNE_CHUNK_BLOCKS", chunk):
+    with mock.patch.object(estimators, "PRUNE_CHUNK_BLOCKS", chunk), tiled(*tiles):
         got = prune_tensor(t, kind, pattern, stream)
     want = reference_prune_tensor(t, kind, pattern, ref_stream)
     bits = f"u{values.itemsize}"
@@ -298,6 +296,40 @@ def test_prune_tensor_matches_the_moved_axis_reference(kind, dtype, chunk, data,
         assert cached.shape == fresh_split.shape and cached.dtype == fresh_split.dtype
         np.testing.assert_array_equal(cached.view(bits), fresh_split.view(bits))
     np.testing.assert_array_equal(codes, _coded_split(fresh, pattern.m)[2])
+
+
+# Tails, lane and block counts that 3 does not divide, zero-length dimensions.
+COPY_LAYOUTS = [((9, 7), 0), ((7, 10), 0), ((3, 11, 5), 1), ((2, 13, 4), 0), ((6, 9), 1),
+                ((4, 5, 0), 1), ((0, 9, 6), 1)]
+
+
+@pytest.mark.parametrize("shape, axis", COPY_LAYOUTS,
+                         ids=[f"{'x'.join(map(str, s))}-axis{a}" for s, a in COPY_LAYOUTS])
+@settings(FIXED, max_examples=12)
+@given(dtype=st.sampled_from([np.float32, np.float64]), m=st.sampled_from([2, 4, 8]),
+       tiles=TILES, data=st.data())
+def test_layout_copies_match_a_plain_copy(shape, axis, dtype, m, tiles, data):
+    # merge_axis, decompress of a compressed tensor and _coded of a lane
+    # view, at tiles that do and do not divide the lanes and blocks: bit for
+    # bit the copy of the moved block region.
+    values = data.draw(arrays(dtype, shape, elements=ANY_FINITE32))
+    t = BlockedTensor.from_array(values, block_axis=axis)
+    blocks, tail = reference_split(t, m)
+    # Every block's upper half zeroed: a tensor that compresses at n = m / 2.
+    sparse = np.where(np.arange(m) < m // 2, blocks, 0.0).astype(dtype)
+    with tiled(*tiles):
+        merged = merge_axis(blocks, tail, shape, axis)
+        coded = _coded(*_split_blocks(t, m))
+        packed = merge_axis(sparse, tail, shape, axis)
+        unpacked = decompress(compress(packed, SparsityPattern(m // 2, m)))
+    bits = f"u{values.itemsize}"
+    np.testing.assert_array_equal(merged.as_array().view(bits), values.view(bits))
+    for got, want in zip(coded, (blocks, tail)):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(bits), want.view(bits))
+    np.testing.assert_array_equal(coded[2], (blocks != 0.0) @ (1 << np.arange(m)))
+    np.testing.assert_array_equal(unpacked.as_array().view("u4"),
+                                  packed.as_array().astype(np.float32).view("u4"))
 
 
 def rank_based_exact24(values: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from nmsparse.core import (
     BlockedTensor,
     SparsityPattern,
     pattern_violations,
-    split_axis,
 )
 from nmsparse.estimators import EstimatorKind, prune_greedy_array, prune_tensor
 from nmsparse.rng import RandomStream
@@ -34,6 +33,8 @@ from nmsparse.tensorio import (
     write_compressed,
     write_tensor,
 )
+
+from reference import split_axis
 
 P12 = SparsityPattern(1, 2)
 P24 = SparsityPattern(2, 4)
