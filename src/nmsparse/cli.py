@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 
 import numpy as np
 
@@ -87,6 +88,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_and_compress(path, pruned, pattern) -> tensorio.CompressedSparseTensor:
+    """write_tensor(path, pruned), then compress(pruned, pattern), at once:
+    the write, file I/O that releases the GIL, runs on a worker thread while
+    this thread compresses. The compressed arrays are thus allocated on
+    this thread, not in a second malloc arena, and no public function of
+    the library runs on the worker. The write's error is raised first."""
+    failed = []
+
+    def write():
+        try:
+            tensorio._write_tensor(path, pruned)
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
+    worker = threading.Thread(target=write, name="nmsparse-write")
+    worker.start()
+    try:
+        comp = tensorio.compress(pruned, pattern)
+    finally:
+        worker.join()
+        if failed:
+            raise failed.pop()
+    return comp
+
+
 def _cmd_prune(args) -> int:
     tensor = tensorio.read_tensor(args.input)
     tensor = type(tensor)(tensor.shape, tensor.data, args.axis)  # shares the read-only data
@@ -97,15 +123,16 @@ def _cmd_prune(args) -> int:
     if violations:
         print(f"pruned output violates {pattern} in {violations} blocks", file=sys.stderr)
         return EXIT_PROPERTY
-    tensorio.write_tensor(args.output, pruned)
     message = f"pruned {args.input} -> {args.output} method={args.method.value} pattern={pattern}"
     if args.compressed:
-        comp = tensorio.compress(pruned, pattern)
-        tensorio.write_compressed(args.compressed, comp)
+        comp = _write_and_compress(args.output, pruned, pattern)
+        tensorio.write_compressed(args.compressed, comp)  # replaced after the dense file
         message += (
             f" compressed={args.compressed}"
             f" blocked_ratio={comp.blocked_compression_ratio():.4f}"
         )
+    else:
+        tensorio.write_tensor(args.output, pruned)
     print(message)
     return EXIT_OK
 

@@ -135,6 +135,12 @@ def _write_atomic(path, parts) -> None:
 
 def write_tensor(path, t: BlockedTensor) -> None:
     """Write a dense tensor file, atomically; payload is float32."""
+    _write_tensor(path, t)
+
+
+def _write_tensor(path, t: BlockedTensor) -> None:
+    """write_tensor's body, for the CLI's worker thread: it calls no public
+    function of the library, which a tracer of the calling thread may wrap."""
     payload = _float32_payload(t.data)
     header = struct.pack(
         "<4sHHH", TENSOR_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, len(t.shape)

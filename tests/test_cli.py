@@ -1,11 +1,15 @@
 """End-to-end CLI tests driving main(argv) with temporary files."""
 
 import csv
+import inspect
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from nmsparse import cli, core, estimators, tensorio
 from nmsparse.cli import EXIT_IO, EXIT_OK, EXIT_PROPERTY, EXIT_USAGE, build_parser, main
 from nmsparse.core import BlockedTensor, SparsityPattern, pattern_violations
 from nmsparse.estimators import EstimatorKind, prune_tensor
@@ -184,6 +188,149 @@ class TestPrune:
                    "--method", "mvue24", "--pattern", "1:2"])
         assert rc == EXIT_USAGE
         capsys.readouterr()
+
+
+class TestPruneCompressedOverlap:
+    """prune --compressed writes the dense file on one worker thread while it
+    compresses; the outputs, exit codes and messages are those of the serial
+    order (dense write, compress, compressed write)."""
+
+    @staticmethod
+    def prune(src, out, comp, method="greedy"):
+        argv = ["prune", str(src), str(out), "--method", method, "--pattern", "2:4"]
+        return main(argv + (["--compressed", str(comp)] if comp else []))
+
+    @pytest.mark.parametrize("method", ["greedy", "mvue24"])
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_outputs_equal_the_serial_writes(self, tmp_path, capsys, method, axis):
+        # 258 rows leave a tail of 2 on axis 0; 516 columns leave none on axis -1.
+        src = tmp_path / "in.nmsp"
+        write_tensor(src, BlockedTensor.from_array(RandomStream(3).normals((258, 516))))
+        out, comp = tmp_path / "o.nmsp", tmp_path / "o.nmsc"
+        rc = main(["prune", str(src), str(out), "--method", method, "--pattern", "2:4",
+                   "--seed", "9", "--axis", str(axis), "--compressed", str(comp)])
+        assert rc == EXIT_OK
+        capsys.readouterr()
+        tensor = read_tensor(src)
+        tensor = BlockedTensor(tensor.shape, tensor.data, axis)
+        pruned = prune_tensor(tensor, EstimatorKind.from_name(method), P24, RandomStream(9))
+        write_tensor(tmp_path / "ref.nmsp", pruned)
+        write_compressed(tmp_path / "ref.nmsc", compress(pruned, P24))
+        assert out.read_bytes() == (tmp_path / "ref.nmsp").read_bytes()
+        assert comp.read_bytes() == (tmp_path / "ref.nmsc").read_bytes()
+
+    def test_failed_dense_write_writes_no_compressed_file(self, dense_file, tmp_path, capsys):
+        missing = tmp_path / "absent" / "o.nmsp"
+        comp = tmp_path / "o.nmsc"
+        assert self.prune(dense_file[0], missing, comp) == EXIT_IO
+        assert str(missing) in capsys.readouterr().err
+        assert not comp.exists()
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+    def test_dense_write_error_comes_before_the_compress_error(self, dense_file, tmp_path,
+                                                              capsys, monkeypatch):
+        def failing(t, pattern):
+            raise ValueError("compress failed")
+
+        monkeypatch.setattr(tensorio, "compress", failing)
+        missing = tmp_path / "absent" / "o.nmsp"
+        assert self.prune(dense_file[0], missing, tmp_path / "o.nmsc") == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(missing) in err and "compress failed" not in err
+        # With the dense write done, the compress error is the command's.
+        out, comp = tmp_path / "o.nmsp", tmp_path / "o.nmsc"
+        assert self.prune(dense_file[0], out, comp) == EXIT_USAGE
+        assert "error: compress failed" in capsys.readouterr().err
+        assert out.exists() and not comp.exists()
+
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_threads_started(self, dense_file, tmp_path, capsys, monkeypatch, compressed):
+        started = []
+
+        class Recording(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(cli.threading, "Thread", Recording)
+        comp = tmp_path / "o.nmsc" if compressed else None
+        assert self.prune(dense_file[0], tmp_path / "o.nmsp", comp) == EXIT_OK
+        capsys.readouterr()
+        assert len(started) == compressed
+
+    @staticmethod
+    def wrap_public_functions(monkeypatch, calls):
+        """Record the calling thread of every public function of core,
+        estimators and tensorio, under each name a library module looks it
+        up by (as a tracer would wrap them), and of tensorio._write_tensor."""
+        modules = [m for name, m in sys.modules.items() if name.partition(".")[0] == "nmsparse"]
+
+        def recording(fn, name):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (core, estimators, tensorio):
+            for attr, fn in list(vars(module).items()):
+                if attr.startswith("_") or not inspect.isfunction(fn):
+                    continue
+                if fn.__module__ != module.__name__:
+                    continue
+                wrapper = recording(fn, f"{module.__name__}.{attr}")
+                for owner in modules:
+                    for name, value in list(vars(owner).items()):
+                        if value is fn:
+                            monkeypatch.setattr(owner, name, wrapper)
+        monkeypatch.setattr(tensorio, "_write_tensor",
+                            recording(tensorio._write_tensor, "_write_tensor"))
+
+    def test_no_thread_outlives_main_and_public_functions_run_on_main(
+            self, dense_file, tmp_path, capsys, monkeypatch):
+        calls = []
+        self.wrap_public_functions(monkeypatch, calls)
+        src, out, comp = dense_file[0], tmp_path / "o.nmsp", tmp_path / "o.nmsc"
+        big = tmp_path / "big.nmsp"
+        write_tensor(big, BlockedTensor.from_array(np.full((4, 8), 3e38, dtype=np.float32)))
+
+        def failing_compress(t, pattern):
+            raise ValueError("compress failed")
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        cases = [  # expected exit, prune arguments, patched tensorio function
+            (EXIT_OK, (src, out, comp), None),
+            (EXIT_IO, (tmp_path / "absent.nmsp", out, comp), None),
+            (EXIT_IO, (src, tmp_path / "absent" / "o.nmsp", comp), None),
+            (EXIT_IO, (src, out, tmp_path / "absent" / "o.nmsc"), None),
+            (EXIT_USAGE, (big, out, comp, "mvue24"), None),  # both refuse non-finite data
+            (EXIT_USAGE, (src, out, comp), ("compress", failing_compress)),
+            (KeyboardInterrupt, (src, out, comp), ("compress", interrupted)),
+            (KeyboardInterrupt, (src, out, comp), ("_write_tensor", interrupted)),
+            (KeyboardInterrupt, (src, out, None), ("write_tensor", interrupted)),
+        ]
+        before = set(threading.enumerate())
+        for expected, args, patch in cases:
+            calls.clear()
+            with monkeypatch.context() as patched:
+                if patch:
+                    patched.setattr(tensorio, *patch)
+                if expected is KeyboardInterrupt:
+                    with pytest.raises(KeyboardInterrupt):
+                        self.prune(*args)
+                else:
+                    assert self.prune(*args) == expected
+            capsys.readouterr()
+            assert set(threading.enumerate()) == before
+            assert calls and all(thread is threading.main_thread()
+                                 for name, thread in calls if name != "_write_tensor")
+            assert all(thread is not threading.main_thread()
+                       for name, thread in calls if name == "_write_tensor")
+            if expected == EXIT_OK:
+                names = [name for name, _ in calls]
+                assert "_write_tensor" in names and "nmsparse.tensorio.write_tensor" not in names
+                assert "nmsparse.tensorio.compress" in names
 
 
 class TestVerify:
