@@ -233,12 +233,17 @@ def merge_axis(
 
 def _bit_codes(flags: np.ndarray) -> np.ndarray:
     """Per row of a (rows, m) boolean array, the uint8 code with bit i set
-    where column i is true: m steps, cheaper than np.packbits on rows this short."""
-    flags = flags.view(np.uint8)
-    codes = np.zeros(flags.shape[0], dtype=np.uint8)
-    for i in range(flags.shape[1]):
-        codes |= flags[:, i] << i
-    return codes
+    where column i is true: a C-contiguous row as one little-endian integer
+    of m 0/1 bytes, times 0x0102 (m = 2), 0x01020408, ..., which moves byte
+    i's bit to bit 8 (m - 1) + i with no carries. Other layouts, such as
+    mc_estimate's column-major mask, are or-reduced by columns, uncopied."""
+    m = flags.shape[1]
+    if not flags.flags.c_contiguous:
+        shifted = flags.T.view(np.uint8) << np.arange(m, dtype=np.uint8)[:, None]
+        return np.bitwise_or.reduce(shifted, axis=0)
+    codes = flags.view(f"<u{m}").reshape(-1) * sum(1 << 8 * (m - 1) - 7 * i for i in range(m))
+    codes >>= 8 * (m - 1)
+    return codes.astype(np.uint8)
 
 
 def _coded(blocks: np.ndarray, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

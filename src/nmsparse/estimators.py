@@ -118,7 +118,7 @@ def _float_blocks(values, m: int | None = None) -> np.ndarray:
 # [_LOW, _HIGH): its magnitude total may overflow, or subnormal rounding may
 # move a draw. Probabilities and draws do not depend on scale, so such a
 # block is scaled by a power of two, which is exact, and its survivors are
-# scaled back. Widened float32 blocks are never out of range.
+# scaled back. Float32 blocks are never out of range.
 _LOW, _HIGH = 2.0**-1000, 2.0**1000
 
 
@@ -335,8 +335,10 @@ def _exact24_sums(mags_t: np.ndarray):
     """(ranks, scale, running sums, all-zero blocks or None, blocks with
     three zeros) of (4, n) magnitude rows of in-range blocks, as in the
     comment above; the four running sums after the leading 0 are scaled
-    like ``scale``, which is the last one."""
+    like ``scale``, which is the last one. Sorted and ranked in the rows'
+    dtype, which is exact; the sums are float64."""
     (b1, b2, b3, b4), ranks = _sort4(mags_t)
+    b1, b2, b3, b4 = (b.astype(np.float64, copy=False) for b in (b1, b2, b3, b4))
     all_zero = b4 == 0.0
     if not np.count_nonzero(all_zero):
         all_zero = None
@@ -363,11 +365,14 @@ def prune_mvue24_exact_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndar
     draw, u of shape (..., n) for (n, 4) blocks. Draws the pair from the
     running sums and writes the survivors in the closed forms of the
     comment above, both formed once per block. Works on contiguous (4, n)
-    rows, one numpy pass per step.
+    rows, one numpy pass per step. Float32 blocks, never out of range, stay
+    float32 but for the sums: float32(max(scale, |a|)) is max(float32(scale),
+    |a|), as rounding is monotone, and beyond float32 +-inf.
     """
-    values = _block_matrix(values, 4)
+    values = _float_blocks(values, 4)
     lead, u = u.shape[:-1], u.reshape(math.prod(u.shape[:-1]), len(values))
-    values, mags_t, exponent = _in_range(values)
+    values, mags_t, exponent = _in_range(values) if values.dtype == np.float64 else (
+        values, _magnitude_rows(values, values.dtype), None)
     ranks, scale, sums, all_zero, three_zero = _exact24_sums(mags_t)
     # The leading 0 is always at or below u * scale.
     col = _count_at_or_below(u, scale, sums)
@@ -379,10 +384,15 @@ def prune_mvue24_exact_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndar
         np.copyto(col, _THREE_ZERO_COLUMNS[(3.0 * u).astype(np.intp)], where=three_zero)
     # Free the draw's rows before the output's are made.
     del sums, all_zero, three_zero
+    if scale.dtype != values.dtype:
+        with np.errstate(over="ignore"):
+            scale = scale.astype(values.dtype)
 
     # An entry is kept when the chosen pair holds its rank.
     keep = np.bitwise_and(_PAIR_BITS[col] >> ranks[:, None], 1).view(bool)
-    survivors = _unscale(np.sign(values.T) * np.maximum(scale, mags_t), exponent)
+    # A zero entry is kept only where the scale is 0: this is sign(a) max(scale,
+    # |a|) where kept, with no 0 * inf (NaN) where a float32 scale overflowed.
+    survivors = _unscale(np.copysign(np.maximum(scale, mags_t), np.sign(values.T)), exponent)
     return _from_rows(_where_kept(keep, survivors[:, None]), lead), _from_rows(keep, lead)
 
 
@@ -729,10 +739,9 @@ def prune_array(
     lane view of any axis but the innermost, are first copied into the
     output, which each chunk's results then overwrite. Leading axes of
     stride 0, as from np.broadcast_to, repeat the blocks; the kernel gets
-    them once, widened to float64 if stochastic. Out-of-range blocks are
-    the kernels' to scale (see Method); a survivor beyond float64 is +-inf.
-    Blocks that hold inf or NaN raise ValueError, a repeated block checked
-    once.
+    them once. Out-of-range blocks are the kernels' to scale (see Method);
+    a survivor beyond float64 is +-inf. Blocks that hold inf or NaN raise
+    ValueError, a repeated block checked once.
     """
     pattern = resolve_pattern(kind, pattern)
     values = _float_data(values)

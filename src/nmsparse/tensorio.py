@@ -114,8 +114,11 @@ def _write_atomic(path, parts) -> None:
     given, path = os.fspath(path), os.path.realpath(path)
     exists = os.path.exists(path)
     if exists and not os.path.isfile(path):
-        with open(path, "wb") as fh:
-            fh.writelines(parts)
+        try:
+            with open(path, "wb") as fh:
+                fh.writelines(parts)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, given) from None
         return
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")

@@ -124,6 +124,18 @@ class TestPrune:
         assert missing in err and ".tmp" not in err
         assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
+    @pytest.mark.parametrize("flag", ["dense", "--compressed"])
+    def test_output_that_is_a_directory_names_the_given_path(self, dense_file, tmp_path,
+                                                             capsys, monkeypatch, flag):
+        # A relative path to an existing directory: the message names it as given.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        outputs = ["d"] if flag == "dense" else ["o.nmsp", flag, "d"]
+        rc = main(["prune", str(dense_file[0]), *outputs, "--method", "greedy", "--pattern", "2:4"])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert "Is a directory: 'd'" in err and str(tmp_path) not in err
+
     def test_corrupt_input_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.nmsp"
         bad.write_bytes(b"JUNKJUNKJUNKJUNK")

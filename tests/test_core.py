@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from nmsparse.core import (
+    SUPPORTED_BLOCK_LENGTHS,
     Block,
     BlockMask,
     BlockedTensor,
     SparsityPattern,
+    _bit_codes,
     merge_axis,
     pattern_violations,
 )
@@ -180,3 +182,21 @@ class TestPatternViolations:
         arr = np.array([[1.0, 0.0, 0.0, 0.0, 9.0, 9.0, 9.0]])
         t = BlockedTensor.from_array(arr)
         assert pattern_violations(t, SparsityPattern(2, 4)) == 0
+
+
+class TestBitCodes:
+    @pytest.mark.parametrize("m", SUPPORTED_BLOCK_LENGTHS)
+    @pytest.mark.parametrize("layout", ["C", "F", "every other row"])
+    @pytest.mark.parametrize("rows", [0, 1, 1000])
+    def test_codes_are_the_little_endian_packed_bits(self, m, layout, rows):
+        # Every m-bit code, from all-true down, repeated to the row count.
+        codes = np.resize(np.arange(1 << m)[::-1], rows).astype(np.uint8)
+        flags = (codes[:, None] >> np.arange(m)) & 1 == 1
+        if layout == "every other row":
+            flags = np.repeat(flags, 2, axis=0)[::2]
+        flags = np.asarray(flags, order="F" if layout == "F" else "K")
+        packed = np.packbits(np.ascontiguousarray(flags), axis=1, bitorder="little")
+        np.testing.assert_array_equal(packed.reshape(rows), codes)
+        result = _bit_codes(flags)
+        assert result.dtype == np.uint8
+        np.testing.assert_array_equal(result, codes)

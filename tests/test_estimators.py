@@ -1046,13 +1046,29 @@ class TestPruneArrayChunks:
         np.testing.assert_array_equal(out.view(np.uint64), ref_out.view(np.uint64))
         np.testing.assert_array_equal(mask, ref_mask)
 
+    # Survivors of +-3e38 entries may lie beyond float32: the cast is +-inf.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("kind", list(EstimatorKind))
     def test_float32_blocks_give_the_float64_result_cast(self, kind):
         pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
-        values = random_test_blocks(CHUNK_EDGES[-1], pattern.m, seed=91).astype(np.float32)
+        values = float32_hard_blocks(CHUNK_EDGES[-1], pattern.m)
         out, mask = prune_array(values, kind, pattern, RandomStream(92))
         ref_out, ref_mask = whole_array_kernel(values.astype(np.float64), kind, 92)
         assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.view(np.uint32), ref_out.astype(np.float32).view(np.uint32))
+        np.testing.assert_array_equal(mask, ref_mask)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("draws", [1, 3])
+    def test_float32_mvue24_kernel_computes_the_float64_result_cast(self, draws):
+        # The kernel ranks and writes float32 blocks in float32, silently
+        # overflowing to +-inf, and returns float32 survivors.
+        values = float32_hard_blocks(CHUNK_EDGES[-1], 4)
+        u = RandomStream(93).uniforms((draws, len(values)))
+        with np.errstate(all="raise"):
+            out, mask = prune_mvue24_exact_array(values, u)
+        ref_out, ref_mask = prune_mvue24_exact_array(values.astype(np.float64), u)
+        assert out.dtype == np.float32 and np.isinf(out).any()
         np.testing.assert_array_equal(out.view(np.uint32), ref_out.astype(np.float32).view(np.uint32))
         np.testing.assert_array_equal(mask, ref_mask)
 
@@ -1145,6 +1161,18 @@ def hard_blocks(count: int, m: int, dtype) -> np.ndarray:
     values[3:6] /= np.abs(values[3:6]).max(axis=1, keepdims=True)
     values[3:6] *= np.array(extremes)[: len(values[3:6]), None]
     return values.astype(dtype)
+
+
+def float32_hard_blocks(count: int, m: int) -> np.ndarray:
+    """hard_blocks in float32, then an all-zero block of -0.0, a block of
+    3.4e38 and one -0.0, whose survivors overflow float32, and a -0.0
+    entry in every fifth block after them."""
+    values = hard_blocks(count, m, np.float32)
+    values[6] = -0.0
+    values[7] = 3.4e38
+    values[7, -1] = -0.0
+    values[8::5, 0] = -0.0
+    return values
 
 
 # (draws, distinct blocks): a repeated block, one under, at and over a
