@@ -9,6 +9,7 @@ overlap, and an exhaustive-search oracle for minimum-MSE masks.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,7 +23,6 @@ from .estimators import (
     EstimatorKind,
     _row_sum4,
     approx24_variance_array,
-    elementwise_variance_array,
     entry_moments,
     prune_array,
     resolve_pattern,
@@ -410,19 +410,14 @@ def _squared_error_sd(
     """Per block, the standard deviation of the per-draw squared block
     error when kept set k is drawn with probability probs[:, k].
 
-    Each kept set has a fixed squared error: survivors are a_i / p_i with
-    the method's keep probability p_i when it rescales, a_i otherwise.
+    Each kept set has a fixed squared error: a^2 per dropped entry, and
+    per kept one d^2 when the method rescales (the survivor's excess over
+    |a|; a zero entry survives as 0), 0 otherwise.
     """
-    keep = np.zeros((len(sets), values.shape[1]), dtype=bool)
-    for k, kept_set in enumerate(sets):
-        keep[k, list(kept_set)] = True
-    survivors = values
-    if kind.is_unbiased:
-        p, _ = METHODS[kind].probs(values, None)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            survivors = np.where(p > 0.0, values / p, 0.0)
-    diff = np.where(keep, survivors[:, None, :], 0.0) - values[:, None, :]
-    err = (diff * diff).sum(axis=2)
+    keep = np.array([[i in kept_set for i in range(values.shape[1])] for kept_set in sets])
+    d = METHODS[kind].deviation(values, None) if kind.is_unbiased else 0.0
+    kept = np.where(values != 0.0, d * d, 0.0)
+    err = np.where(keep, kept[:, None, :], (values * values)[:, None, :]).sum(axis=2)
     dev = err - (probs * err).sum(axis=1, keepdims=True)
     return np.sqrt((probs * dev * dev).sum(axis=1))
 
@@ -486,21 +481,18 @@ def verify_estimator(
     pattern = _pattern_for(kind, pattern, 0 if kind is not EstimatorKind.GREEDY_MSE else 4)
     blocks = random_test_blocks(num_blocks, pattern.m, seed)
 
-    worst_z = 0.0
-    bias_failures = 0
-    var_failures = 0
-    worst_var_z = 0.0
-    freq_failures = 0
-    worst_freq_z = 0.0
-    pattern_failures = 0
-
-    mse_expected = entry_moments(blocks, kind, pattern)[0].sum(axis=1)
+    error, variance = entry_moments(blocks, kind, pattern)
+    mse_expected = error.sum(axis=1)
     mse_se_closed = np.zeros(num_blocks)
     if kind.is_stochastic:
         kept_sets, set_probs = METHODS[kind].kept_set_probs(blocks)
-        mean_se_closed = np.sqrt(elementwise_variance_array(blocks, kind) / samples)
+        mean_se_closed = np.sqrt(variance / samples)
         mse_se_closed = _squared_error_sd(kind, blocks, kept_sets, set_probs) / math.sqrt(samples)
 
+    pattern_failures = 0
+    # Per block, the largest z of each statistical check; frequency also
+    # fails a block that draws a set outside the method's kept sets.
+    var_z, bias_z, freq_z, freq_failed = [], [], [], []
     for idx in range(num_blocks):
         # Each block draws from its own stream.
         report = mc_estimate(Block(blocks[idx]), kind, samples, seed + idx, pattern)
@@ -518,36 +510,26 @@ def verify_estimator(
         # or drop leaves a constant sample, whose empirical SE is zero; the
         # floor absorbs float rounding where both are zero because the
         # component reproduces its input deterministically.
+        expected = mse_expected[idx]
+        floor = 1e-9 * max(1.0, abs(expected))
+        var_z.append(float(abs(report.mse_mean - expected) / max(
+            report.mse_se, mse_se_closed[idx], floor / sigma
+        )))
         if kind.is_stochastic:
             diff = np.abs(report.empirical_mean - blocks[idx])
             se = np.maximum(np.maximum(report.mean_se, mean_se_closed[idx]), 1e-12 / sigma)
-            z = float(np.max(diff / se))
-            worst_z = max(worst_z, z)
-            if z > sigma:
-                bias_failures += 1
+            bias_z.append(float(np.max(diff / se)))
+            zs = [_frequency_z(round(report.pair_frequencies.get(kept_set, 0.0) * samples),
+                               samples, float(p), sigma)
+                  for kept_set, p in zip(kept_sets, set_probs[idx])]
+            extra = set(report.pair_frequencies) - set(kept_sets)
+            freq_z.append(max(zs))
+            freq_failed.append(max(zs) > sigma or any(report.pair_frequencies[k] > 0 for k in extra))
 
-        expected = mse_expected[idx]
-        floor = 1e-9 * max(1.0, abs(expected))
-        var_z = abs(report.mse_mean - expected) / max(
-            report.mse_se, mse_se_closed[idx], floor / sigma
-        )
-        worst_var_z = max(worst_var_z, float(var_z))
-        if var_z > sigma:
-            var_failures += 1
-
-        if kind.is_stochastic:
-            block_freq_fail = False
-            for kept_set, p in zip(kept_sets, set_probs[idx]):
-                count = round(report.pair_frequencies.get(kept_set, 0.0) * samples)
-                freq_z = _frequency_z(count, samples, float(p), sigma)
-                worst_freq_z = max(worst_freq_z, freq_z)
-                if freq_z > sigma:
-                    block_freq_fail = True
-            observed_extra = set(report.pair_frequencies) - set(kept_sets)
-            if any(report.pair_frequencies[k] > 0 for k in observed_extra):
-                block_freq_fail = True
-            if block_freq_fail:
-                freq_failures += 1
+    def z_check(name: str, zs: list[float], failed: list[bool]) -> PropertyCheck:
+        count = sum(failed)
+        return PropertyCheck(name, count == 0, f"worst z={functools.reduce(max, zs, 0.0):.2f}, "
+                                               f"{count}/{num_blocks} blocks outside {sigma} SE")
 
     checks = [
         PropertyCheck(
@@ -555,27 +537,11 @@ def verify_estimator(
             pattern_failures == 0,
             f"{pattern_failures}/{num_blocks} blocks violated {pattern} structure",
         ),
-        PropertyCheck(
-            "variance",
-            var_failures == 0,
-            f"worst z={worst_var_z:.2f}, {var_failures}/{num_blocks} blocks outside {sigma} SE",
-        ),
+        z_check("variance", var_z, [z > sigma for z in var_z]),
     ]
     if kind.is_stochastic:
-        checks.append(
-            PropertyCheck(
-                "unbiased",
-                bias_failures == 0,
-                f"worst z={worst_z:.2f}, {bias_failures}/{num_blocks} blocks outside {sigma} SE",
-            )
-        )
-        checks.append(
-            PropertyCheck(
-                "frequency",
-                freq_failures == 0,
-                f"worst z={worst_freq_z:.2f}, {freq_failures}/{num_blocks} blocks outside {sigma} SE",
-            )
-        )
+        checks.append(z_check("unbiased", bias_z, [z > sigma for z in bias_z]))
+        checks.append(z_check("frequency", freq_z, freq_failed))
     else:
         # Greedy is deterministic: re-pruning must reproduce the MC mean
         # exactly and match the exhaustive minimum-MSE oracle.

@@ -21,9 +21,11 @@ rescaling).
 
 Each method is one ``Method`` record in ``METHODS``: its pattern, kernel,
 keep and drop probabilities (p, q), rescale flag and error factor. Every
-variance and error formula is derived from the record. Every stochastic
-kernel takes one uniform per block and draw; both 2:4 samplers draw the
-kept pair from the running sums of the block's six pair probabilities.
+variance and error formula is derived from the record, and a stochastic
+method's probabilities and error factor from its one kept-set table.
+Every stochastic kernel takes one uniform per block and draw; both 2:4
+samplers draw the kept pair from the running sums of the block's six
+pair probabilities.
 All functions treat a kept value of a zero entry as exact zero and use
 the convention 0^2 / 0 = 0.
 """
@@ -169,6 +171,21 @@ def _from_rows(rows: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
     return rows.transpose(1, 2, 0).reshape(*lead, *rows.shape[2:], rows.shape[0])
 
 
+def _entry_columns(sets: tuple[tuple[int, ...], ...], m: int, held: bool = True) -> np.ndarray:
+    """Per entry of a length-m block, the columns of the kept sets that
+    hold it (or, not ``held``, of the others), in set order."""
+    return np.array([[c for c, kept in enumerate(sets) if (i in kept) == held] for i in range(m)])
+
+
+def _set_sums(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """(m, n) sums of (sets, n) rows, per entry its row of ``columns``,
+    added in column order."""
+    sums = rows[columns[:, 0]]
+    for column in columns[:, 1:].T:
+        sums += rows[column]
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # Greedy magnitude masking
 
@@ -242,21 +259,26 @@ def prune_mvue12_array(
     return _from_rows(_where_kept(keep, survivors[:, None]), lead), _from_rows(keep, lead)
 
 
-def _proportional12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, q) of magnitude-proportional 1:2 selection: p_i = |a_i| / T and
-    q_0 = |a_1| / T, a sum rather than 1 - p_0; an all-zero block keeps
-    index 0."""
-    values = _in_range(_block_matrix(values, 2))[0]
-    mags = np.abs(values)
-    total = mags.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = np.where(total > 0.0, mags / total, (1.0, 0.0))
-    return p, p[:, ::-1]
+def _table12(mags_t: np.ndarray):
+    """Kept-set table of magnitude-proportional 1:2 selection (see
+    _stochastic): rows and kept masses |a_0| and |a_1|, and their total,
+    mvue12's survivor; an all-zero block keeps index 0."""
+    total = mags_t[0] + mags_t[1]
+    empty = total == 0.0
+    rows = np.where(empty, ((1.0,), (0.0,)), mags_t)
+    return rows, np.where(empty, 1.0, total), rows, total
+
+
+def _coin_table(mags_t: np.ndarray):
+    """Kept-set table of the fair coin: constant rows, and unbiased-uniform's
+    survivor 2 |a|."""
+    rows = np.ones(mags_t.shape)
+    return rows, 2.0, rows, 2.0 * mags_t
 
 
 def mvue12_selection_probs(values: np.ndarray) -> np.ndarray:
     """P(keep index i) for mvue12/biased12; all-zero blocks keep index 0."""
-    return _proportional12(values)[0]
+    return METHODS[EstimatorKind.MVUE12].probs(values, None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +330,8 @@ PAIR_INDEX_COLUMNS: tuple[tuple[int, int], ...] = tuple(
 _PAIR_BITS = ((1 << _PAIR_FIRST) | (1 << _PAIR_SECOND)).astype(np.uint8)
 # Columns of the pairs (k, 3) that join the max with one of the zeros.
 _THREE_ZERO_COLUMNS = np.array([2, 4, 5], dtype=np.uint8)
+# Per position, the columns of the three pairs that hold it.
+_HOLDING_PAIRS = _entry_columns(PAIR_INDEX_COLUMNS, 4)
 
 
 def _sort4(mags_t: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -396,47 +420,39 @@ def prune_mvue24_exact_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndar
     return _from_rows(_where_kept(keep, survivors[:, None]), lead), _from_rows(keep, lead)
 
 
-def _exact24_marginal_rows(mags_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(4, n) inclusion probabilities of in-range blocks' magnitude rows,
-    and their scales."""
-    _, scale, _, all_zero, three_zero = _exact24_sums(mags_t)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        probs = np.minimum(mags_t / scale, 1.0)
-    # Degenerate blocks: ties among zeros are resolved uniformly.
+def _exact24_table(mags_t: np.ndarray):
+    """Kept-set table of mvue24 (see _stochastic): the differences of the
+    running sums in index-pair order, their total the scale, the kept
+    masses in the closed form min(|a|, scale), as a sum of three
+    differences rounds up to 4 ulps apart from it and so from the
+    kernel's survivors, and the survivors max(scale, |a|). Degenerate
+    blocks draw the pairs of tied zeros (all-zero) or of the max and a
+    zero (three zeros) evenly."""
+    ranks, scale, sums, all_zero, three_zero = _exact24_sums(mags_t)
+    zero = np.zeros_like(scale)
+    rows = np.diff(np.stack((zero, zero, *sums, scale)), axis=0)
+    total, kept = scale.copy(), np.minimum(mags_t, scale)
     if all_zero is not None:
-        probs[:, all_zero] = 0.5
-    probs[:, three_zero] = np.where(mags_t[:, three_zero] > 0.0, 1.0, 1.0 / 3.0)
-    return probs, scale
+        rows[:, all_zero], total[all_zero], kept[:, all_zero] = 1.0, 6.0, 3.0
+    rows[:, three_zero] = 0.0
+    rows[np.ix_(_THREE_ZERO_COLUMNS, three_zero.nonzero()[0])] = 1.0
+    total[three_zero] = 3.0
+    kept[:, three_zero] = np.where(mags_t[:, three_zero] > 0.0, 3.0, 1.0)
+    # Index pair (i, j) is the sorted pair of their ranks: gathered from
+    # the flat rows, far faster than fancy indexing by (ranks, ranks).
+    pairs = ranks.take(_PAIR_FIRST, axis=0) * np.uint8(4) + ranks.take(_PAIR_SECOND, axis=0)
+    flat = _PAIR_COLUMN.ravel().take(pairs) * len(scale) + np.arange(len(scale))
+    return rows.take(flat), total, kept, np.maximum(scale, mags_t)
 
 
 def exact24_marginal_probs(values: np.ndarray) -> np.ndarray:
     """Inclusion probability of each entry, in original order."""
-    probs, _ = _exact24_marginal_rows(_in_range(_block_matrix(values, 4))[1])
-    return np.ascontiguousarray(probs.T)
-
-
-def _exact24_deviation(values: np.ndarray) -> np.ndarray:
-    """q |a| / p per entry: q times the block's scale, the magnitude of
-    every survivor with p < 1, at the block's own scale."""
-    _, mags_t, exponent = _in_range(values)
-    probs, scale = _exact24_marginal_rows(mags_t)
-    return _unscale((1.0 - probs) * scale, exponent).T
+    return METHODS[EstimatorKind.MVUE24_EXACT].probs(values, None)[0]
 
 
 def exact24_pair_probs(values: np.ndarray) -> np.ndarray:
     """Probability of keeping each index pair, columns PAIR_INDEX_COLUMNS."""
-    mags_t = _in_range(_block_matrix(values, 4))[1]
-    ranks, scale, sums, all_zero, three_zero = _exact24_sums(mags_t)
-    zero = np.zeros_like(scale)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        table = np.diff(np.stack((zero, zero, *sums, scale)), axis=0) / scale
-    if all_zero is not None:
-        table[:, all_zero] = 1.0 / 6.0
-    table[:, three_zero] = 0.0
-    table[np.ix_(_THREE_ZERO_COLUMNS, three_zero.nonzero()[0])] = 1.0 / 3.0
-    # Index pair (i, j) is the sorted pair of their ranks.
-    columns = _PAIR_COLUMN[ranks[_PAIR_FIRST], ranks[_PAIR_SECOND]]
-    return np.ascontiguousarray(np.take_along_axis(table, columns, axis=0).T)
+    return METHODS[EstimatorKind.MVUE24_EXACT].kept_set_probs(values)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +470,8 @@ def exact24_pair_probs(values: np.ndarray) -> np.ndarray:
 # these six with one uniform, as mvue24 does, and an entry's p and q are
 # the sums of the three pairs with and without it.
 
-# Per position, the other three, and the pair columns with and without it.
+# Per position, the other three.
 _OTHER_POSITIONS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-_KEPT_BY = _PAIR_COLUMN[np.arange(4)[:, None], _OTHER_POSITIONS]
-_DROPPED_BY = np.array([[_PAIR_COLUMN[i, j] for i, j in itertools.combinations(others, 2)]
-                        for others in _OTHER_POSITIONS])
 _POSITIONS = np.arange(4, dtype=np.uint8)[:, None, None]
 
 
@@ -483,45 +496,30 @@ def _approx24_pair_rows(mags_t: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def _pair_sums(pairs: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """(4, n) sums of (6, n) pair rows, per position the three of its row
-    of ``columns``: p for _KEPT_BY, q for _DROPPED_BY."""
-    sums = pairs[columns[:, 0]]
-    sums += pairs[columns[:, 1]]
-    sums += pairs[columns[:, 2]]
-    return sums
+def _approx24_table(mags_t: np.ndarray):
+    """Kept-set table of approx24 (see _stochastic): the pair probabilities,
+    normalized already (total 1), the kept masses summed as the sampler sums them, and the
+    survivors |a| / p as the ratio of sums S / (1 + sum_{k != i} w_k), w_k
+    = |a_k| / (S - |a_k|), since p_i = |a_i| (1 + sum_{k != i} w_k) / S:
+    entry i is drawn first, or second after some k. It holds where p
+    rounds to 0."""
+    rows = _approx24_pair_rows(mags_t)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = mags_t / mags_t[_OTHER_POSITIONS].sum(axis=1)
+        survivor = mags_t.sum(axis=0) / (1.0 + w[_OTHER_POSITIONS].sum(axis=1))
+    return rows, 1.0, _set_sums(rows, _HOLDING_PAIRS), survivor
 
 
 def approx24_pair_probs(values: np.ndarray) -> np.ndarray:
     """Pair probabilities for the sequential sampler, columns PAIR_INDEX_COLUMNS."""
-    return np.ascontiguousarray(_approx24_pair_rows(_in_range(_block_matrix(values, 4))[1]).T)
-
-
-def _approx24_probs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, q) per block entry, sums of the three pair probabilities with
-    and without it."""
-    pairs = approx24_pair_probs(values).T
-    return tuple(np.ascontiguousarray(_pair_sums(pairs, c).T) for c in (_KEPT_BY, _DROPPED_BY))
+    return METHODS[EstimatorKind.MVUE24_APPROX].kept_set_probs(values)[1]
 
 
 def approx24_exclusion_probs(values: np.ndarray) -> np.ndarray:
     """P(entry dropped) under the sequential sampler, per block entry: a
     sum of pair probabilities, so a near-certain survivor (q around 1e-12)
     keeps full relative precision where 1 - p would be rounding noise."""
-    return _approx24_probs(values)[1]
-
-
-def _approx24_deviation(values: np.ndarray) -> np.ndarray:
-    """q |a| / p per entry, at the block's own scale. The survivor |a| / p
-    is the ratio of sums S / (1 + sum_{k != i} w_k), w_k = |a_k| / (S -
-    |a_k|), since p_i = |a_i| (1 + sum_{k != i} w_k) / S: entry i is drawn
-    first, or second after some k. It holds where p rounds to 0."""
-    _, mags_t, exponent = _in_range(values)
-    q = _pair_sums(_approx24_pair_rows(mags_t), _DROPPED_BY)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w = mags_t / mags_t[_OTHER_POSITIONS].sum(axis=1)
-        survivor = mags_t.sum(axis=0) / (1.0 + w[_OTHER_POSITIONS].sum(axis=1))
-    return _unscale(q * survivor, exponent).T
+    return METHODS[EstimatorKind.MVUE24_APPROX].probs(values, None)[1]
 
 
 def prune_mvue24_approx_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -535,7 +533,7 @@ def prune_mvue24_approx_array(values: np.ndarray, u: np.ndarray) -> tuple[np.nda
     values, mags_t, exponent = _in_range(values)
     pairs = _approx24_pair_rows(mags_t)
     del mags_t
-    p = _pair_sums(pairs, _KEPT_BY)
+    p = _set_sums(pairs, _HOLDING_PAIRS)
     # An entry with p = 0 is never kept.
     with np.errstate(invalid="ignore", divide="ignore"):
         survivors = _unscale(np.where(values.T != 0.0, values.T / p, 0.0), exponent)
@@ -588,66 +586,81 @@ class Method:
     deviation: Callable
 
 
-_ONE_OF_TWO = ((0,), (1,))
+def _stochastic(pattern: SparsityPattern, kernel: Callable, sets, table: Callable,
+                rescale: bool) -> Method:
+    """The record of a stochastic method whose law is one kept-set table.
+
+    ``table(mags_t)`` takes the (m, n) magnitude rows of blocks scaled as
+    below and returns per block the unnormalized probabilities of the kept
+    ``sets``, as rows in set order, their total, and per entry its kept
+    mass (the sum of its sets' rows, or that sum's closed form) and its
+    survivor magnitude |a| / p in closed form. A set's probability is its
+    row over the total, p the kept mass over the total and q the sum of
+    the other rows over the total, never 1 - p. d is the q sum times
+    (survivor / total) rescaled, and the smaller of the q sum and |a|
+    times the larger over the total raw: 0 where the q sum is, and in
+    range wherever d is.
+    """
+    dropped = _entry_columns(sets, pattern.m, held=False)
+
+    def law(values):
+        # Out-of-range blocks at a power-of-two scale, as the kernels draw
+        # them, but a large one only to a largest magnitude in [2^1019,
+        # 2^1020), where no sum of four overflows: a subnormal entry beside
+        # it keeps all but at most four of its bits.
+        mags_t = _magnitude_rows(_block_matrix(values, pattern.m))
+        top = np.maximum.reduce(mags_t)
+        out, exponent = _out_of_range(top), None
+        if np.count_nonzero(out):
+            exponent = np.where(out, np.frexp(top)[1] - 1020 * (top >= _HIGH), 0)
+            mags_t = np.ldexp(mags_t, -exponent)
+        return (*table(mags_t), mags_t, exponent)
+
+    def probs(values, _):
+        rows, total, kept = law(values)[:3]
+        return (kept / total).T, (_set_sums(rows, dropped) / total).T
+
+    def kept_set_probs(values):
+        rows, total = law(values)[:2]
+        return sets, (rows / total).T
+
+    def deviation(values, _):
+        rows, total, _, survivor, mags_t, exponent = law(values)
+        q = _set_sums(rows, dropped)
+        with np.errstate(invalid="ignore", over="ignore"):
+            if rescale:
+                d = q * (survivor / total)
+            else:
+                d = np.minimum(q, mags_t) * (np.maximum(q, mags_t) / total)
+            return _unscale(np.where(q > 0.0, d, 0.0), exponent).T
+
+    return Method(pattern, kernel, probs, kept_set_probs, rescale, deviation)
 
 
-def _with_complement(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return probs, 1.0 - probs
-
-
-def _deviation12(values: np.ndarray, proportional: bool, rescale: bool) -> np.ndarray:
-    """d of 1:2 blocks. Magnitude-proportional: |a_j|, j the other entry,
-    rescaled, and |a_0| |a_1| / T raw, as the smaller magnitude times the
-    larger one's keep probability. Fair coin: |a| and |a| / 2."""
-    mags = np.abs(_block_matrix(values, 2))
-    if not proportional:
-        return mags if rescale else 0.5 * mags
-    if rescale:
-        return mags[:, ::-1]
-    # The two columns compared, far faster than a reduction along rows.
-    d = np.minimum(*mags.T) * np.maximum(*_proportional12(values)[0].T)
-    return np.repeat(d[:, None], 2, axis=1)
+def _greedy_probs(values: np.ndarray, pattern: SparsityPattern) -> tuple[np.ndarray, np.ndarray]:
+    keep = greedy_mask_array(values, pattern)
+    return keep.astype(np.float64), (~keep).astype(np.float64)
 
 
 def _method12(proportional: bool, rescale: bool) -> Method:
-    probs = _proportional12 if proportional else (
-        lambda v: _with_complement(np.full(_block_matrix(v, 2).shape, 0.5)))
-    return Method(
-        PATTERN_12,
-        lambda v, u, _: prune_mvue12_array(v, u, proportional, rescale),
-        lambda v, _: probs(v),
-        lambda v: (_ONE_OF_TWO, probs(v)[0]),
-        rescale,
-        lambda v, _: _deviation12(v, proportional, rescale),
-    )
+    return _stochastic(PATTERN_12, lambda v, u, _: prune_mvue12_array(v, u, proportional, rescale),
+                       ((0,), (1,)), _table12 if proportional else _coin_table, rescale)
 
 
 METHODS: dict[EstimatorKind, Method] = {
     EstimatorKind.GREEDY_MSE: Method(
         None,
         lambda v, u, pattern: prune_greedy_array(v, pattern),
-        lambda v, pattern: _with_complement(greedy_mask_array(v, pattern).astype(np.float64)),
+        _greedy_probs,
         None,
         False,
         lambda v, pattern: np.where(greedy_mask_array(v, pattern), 0.0, np.abs(v)),
     ),
     EstimatorKind.MVUE12: _method12(proportional=True, rescale=True),
-    EstimatorKind.MVUE24_EXACT: Method(
-        PATTERN_24,
-        lambda v, u, _: prune_mvue24_exact_array(v, u),
-        lambda v, _: _with_complement(exact24_marginal_probs(v)),
-        lambda v: (PAIR_INDEX_COLUMNS, exact24_pair_probs(v)),
-        True,
-        lambda v, _: _exact24_deviation(_block_matrix(v, 4)),
-    ),
-    EstimatorKind.MVUE24_APPROX: Method(
-        PATTERN_24,
-        lambda v, u, _: prune_mvue24_approx_array(v, u),
-        lambda v, _: _approx24_probs(v),
-        lambda v: (PAIR_INDEX_COLUMNS, approx24_pair_probs(v)),
-        True,
-        lambda v, _: _approx24_deviation(_block_matrix(v, 4)),
-    ),
+    EstimatorKind.MVUE24_EXACT: _stochastic(PATTERN_24, lambda v, u, _: prune_mvue24_exact_array(v, u),
+                                            PAIR_INDEX_COLUMNS, _exact24_table, True),
+    EstimatorKind.MVUE24_APPROX: _stochastic(PATTERN_24, lambda v, u, _: prune_mvue24_approx_array(v, u),
+                                             PAIR_INDEX_COLUMNS, _approx24_table, True),
     EstimatorKind.BIASED12: _method12(proportional=True, rescale=False),
     EstimatorKind.UNIFORM12: _method12(proportional=False, rescale=False),
     EstimatorKind.UNBIASED_UNIFORM12: _method12(proportional=False, rescale=True),
