@@ -1,5 +1,6 @@
 """Seeded outputs stay bit-identical: SHA-256 digests of the NMSP and NMSC
-files of every method on a fixed float32 tensor, pruned along each axis.
+files of every method on a fixed float32 tensor, pruned along each axis,
+and of the variance-ratio scan's CSV.
 
 67 x 71 leaves a tail on both axes for m = 2 and m = 4; the tensor holds
 zeros, an all-zero row and an all-zero column. A digest changes only with
@@ -12,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from nmsparse.analysis import scan_summary
 from nmsparse.core import BlockedTensor, SparsityPattern
 from nmsparse.estimators import EstimatorKind, prune_tensor
 from nmsparse.rng import RandomStream
@@ -70,3 +72,18 @@ def test_pruned_files_keep_their_digests(kind, axis, tmp_path):
     got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in ("t.nmsp", "t.nmsc"))
     assert got == DIGESTS[kind.value, axis]
+
+
+# (step, refine_edges): digest of the scan_summary CSV
+SCAN_DIGESTS = {
+    (0.02, False): "f467857c66f8ef1efc9480043e4a7a7047c0539e6d879f8cfb3380380dfc6d58",
+    (0.1, True): "8d6a392dff0cb99abc9bfe86d023bf6b42f89c747651c9b8667f2f7fc2484dbf",
+}
+
+
+@pytest.mark.parametrize("step,refine_edges", list(SCAN_DIGESTS),
+                         ids=[f"step{s}-refine{r}" for s, r in SCAN_DIGESTS])
+def test_scan_csv_keeps_its_digest(step, refine_edges, tmp_path):
+    scan_summary(step, refine_edges, csv_path=tmp_path / "scan.csv")
+    got = hashlib.sha256((tmp_path / "scan.csv").read_bytes()).hexdigest()
+    assert got == SCAN_DIGESTS[step, refine_edges]
