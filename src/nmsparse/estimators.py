@@ -504,7 +504,9 @@ def _approx24_table(mags_t: np.ndarray):
     entry i is drawn first, or second after some k. It holds where p
     rounds to 0."""
     rows = _approx24_pair_rows(mags_t)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # w is inf where the other entries sum to a subnormal far below |a_k|;
+    # the survivors beside that entry are then 0.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         w = mags_t / mags_t[_OTHER_POSITIONS].sum(axis=1)
         survivor = mags_t.sum(axis=0) / (1.0 + w[_OTHER_POSITIONS].sum(axis=1))
     return rows, 1.0, _set_sums(rows, _HOLDING_PAIRS), survivor

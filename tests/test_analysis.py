@@ -344,13 +344,31 @@ class TestScanSummary:
         assert [rows[k]["var_approx"] for k in (0, 1, 5, 107)] == ["0.0", "-0.0", "0.0", "-0.0"]
         assert rows[3]["var_exact"] == "nan" and rows[3]["ratio"]
 
+    @pytest.mark.parametrize("refine_edges,calls", [(False, 10), (True, 10 + 40)])
+    def test_csv_scan_computes_each_chunk_once(self, tmp_path, monkeypatch, refine_edges, calls):
+        # One _ratio_chunk call per a1 value, as in a scan without a CSV.
+        ratio_chunk = analysis._ratio_chunk
+        seen = []
+
+        def counted(points):
+            seen.append(points[0, 0])
+            return ratio_chunk(points)
+
+        monkeypatch.setattr(analysis, "_ratio_chunk", counted)
+        scan_summary(0.1, refine_edges)
+        assert len(seen) == calls
+        seen.clear()
+        scan_summary(0.1, refine_edges, csv_path=tmp_path / "scan.csv")
+        assert len(seen) == calls
+
 
 class TestScanMemory:
-    # What the CSV scan holds: the distinct value bits and their texts,
-    # 32 bytes per distinct value, and one chunk's fields and lines; no
-    # text of the whole grid. The bound lies between a scan that formats
-    # every field chunk by chunk (1.6 MiB) and one that holds every value
-    # and text at once (18 MiB).
+    # What the CSV scan holds: one axis's value bits (24 bytes per point),
+    # then the distinct value bits and their texts, 32 bytes per distinct
+    # value, and one chunk's fields and lines; no text of the whole grid.
+    # The bound lies between a scan that formats every field chunk by
+    # chunk (1.6 MiB) and one that holds every value and text at once
+    # (18 MiB).
     def test_peak_at_step_002_stays_under_6_mib(self, tmp_path):
         tracemalloc.start()
         try:
@@ -359,6 +377,17 @@ class TestScanMemory:
         finally:
             tracemalloc.stop()
         assert summary.points == 125_000
+        assert peak <= 6 * 2 ** 20
+
+    def test_peak_with_refined_edges_stays_under_6_mib(self, tmp_path):
+        # The second axis starts once the first's bits and texts are freed.
+        tracemalloc.start()
+        try:
+            summary = scan_summary(0.02, refine_edges=True, csv_path=tmp_path / "scan.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.points == 125_000 + 40 ** 3
         assert peak <= 6 * 2 ** 20
 
 

@@ -9,6 +9,7 @@ partner). Monte-Carlo checks run at the 5-sigma level with fixed seeds.
 import dataclasses
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -685,6 +686,24 @@ class TestApprox24:
             # The max entry alone carries half the variance at this corner.
             v_exact = exact24_variance([mags])[0]
             assert 1.99 < got / v_exact < 2.0
+
+    def test_subnormal_entries_raise_no_warning(self):
+        # Beside a subnormal rest, an entry's w = |a_k| / (S - |a_k|)
+        # overflows to inf, which is the value the statistics need.
+        blocks = np.array([[0.0, 1.0, 5e-324, 5e-324], [1.0, 0.0, 0.0, 1e-320]])
+        method = estimators.METHODS[EstimatorKind.MVUE24_APPROX]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, q = method.probs(blocks, None)
+            sets, set_probs = method.kept_set_probs(blocks)
+            error, variance = entry_moments(blocks, EstimatorKind.MVUE24_APPROX)
+        np.testing.assert_array_equal(p, [[0.0, 1.0, 0.5, 0.5], [1.0, 0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(q, [[1.0, 0.0, 0.5, 0.5], [0.0, 1.0, 1.0, 0.0]])
+        assert sets == PAIR_INDEX_COLUMNS
+        np.testing.assert_array_equal(set_probs, [[0.0, 0.0, 0.0, 0.5, 0.5, 0.0],
+                                                  [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(error, np.zeros((2, 4)))
+        np.testing.assert_array_equal(variance, np.zeros((2, 4)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,16 +25,16 @@ TINY = Fraction(2.0**-1022)
 HUGE = Fraction(sys.float_info.max)
 
 # The largest relative error of each statistic on these blocks, over all
-# methods, measured with the formulas that preceded the kept-set tables
-# and rounded up. Their worst was mvue24's q = 1 - p and what follows from
-# it (1.2e-13); the tables' q sums measure 7.5e-16 at most.
+# methods, measured and rounded up to one digit. q, d, error and variance
+# measure 7.3e-16, 7.1e-16, 7.5e-16 and 7.5e-16, all from mvue24's q sums;
+# the 1 - p that preceded the kept-set tables measured 1.2e-13.
 BOUNDS = {
     "set_probs": 1e-15,
     "p": 5e-16,
-    "q": 2e-13,
-    "d": 2e-13,
-    "error": 2e-13,
-    "variance": 2e-13,
+    "q": 8e-16,
+    "d": 8e-16,
+    "error": 8e-16,
+    "variance": 8e-16,
 }
 
 
