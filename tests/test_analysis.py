@@ -356,10 +356,10 @@ class TestScanSummary:
 
         monkeypatch.setattr(analysis, "_ratio_chunk", counted)
         scan_summary(0.1, refine_edges)
-        assert len(seen) == calls
-        seen.clear()
+        without_csv, seen[:] = seen[:], []
         scan_summary(0.1, refine_edges, csv_path=tmp_path / "scan.csv")
-        assert len(seen) == calls
+        assert len(seen) == len(without_csv) == calls
+        assert seen == without_csv
 
 
 class TestScanMemory:
