@@ -1,6 +1,7 @@
 """Seeded outputs stay bit-identical: SHA-256 digests of the NMSP and NMSC
 files of every method on a fixed float32 tensor, pruned along each axis,
-and of the variance-ratio scan's CSV.
+of every stochastic method's float64 draws, and of the variance-ratio
+scan's CSV.
 
 67 x 71 leaves a tail on both axes for m = 2 and m = 4; the tensor holds
 zeros, an all-zero row and an all-zero column. A digest changes only with
@@ -15,7 +16,7 @@ import pytest
 
 from nmsparse.analysis import scan_summary
 from nmsparse.core import BlockedTensor, SparsityPattern
-from nmsparse.estimators import EstimatorKind, prune_tensor
+from nmsparse.estimators import EstimatorKind, prune_array, prune_tensor
 from nmsparse.rng import RandomStream
 from nmsparse.tensorio import compress, write_compressed, write_tensor
 
@@ -87,3 +88,51 @@ def test_scan_csv_keeps_its_digest(step, refine_edges, tmp_path):
     scan_summary(step, refine_edges, csv_path=tmp_path / "scan.csv")
     got = hashlib.sha256((tmp_path / "scan.csv").read_bytes()).hexdigest()
     assert got == SCAN_DIGESTS[step, refine_edges]
+
+
+def float64_blocks(m: int) -> np.ndarray:
+    """(k, m) float64 blocks, all within the kernels' range: heavy-tailed
+    random blocks, all-zero blocks, blocks with one nonzero (three zeros
+    at 2:4), blocks with ties and blocks already within the pattern."""
+    stream = RandomStream(21, stream=m)
+    normal = stream.normals((3_000, m)) * np.exp(2.0 * stream.normals((3_000, m)))
+    one = np.zeros((2 * m, m))
+    one[np.arange(2 * m), np.arange(2 * m) % m] = [3.5, -0.25] * m
+    ties = np.array([[1.0, -1.0, 1.0, 2.0], [3.0, 3.0, 3.0, 3.0], [-2.0, 1.0, -2.0, 1.0],
+                     [5.0, -5.0, 0.0, 0.0], [0.0, 7.0, 0.0, -7.0], [1.0, 1.0, 1.0, 4.0]])[:, :m]
+    within = stream.normals((200, m))
+    within[:, :m // 2] = 0.0
+    within = np.take_along_axis(within, np.argsort(stream.uniforms((200, m)), axis=1), axis=1)
+    return np.concatenate([normal, np.zeros((5, m)), one, ties, within])
+
+
+# (method, case): digest of prune_array's values and mask, in float64
+FLOAT64_DIGESTS = {
+    ("mvue12", "blocks"): "dfdf7ef11b3d6642715631dc12729a1c4c27861a3077559bbf54c157968858c2",
+    ("mvue12", "row"): "f403f0b2a1299e4a27639693ae1dbc253e33534c541f186897d71464f31ed4cc",
+    ("mvue24", "blocks"): "b365fdd679bbdacabac8445ea412d31f7b6771983ca87f727e669e4c3abc9049",
+    ("mvue24", "row"): "6e345c27a4f3e4e3315bbc3634644a7e77f31736d235a412346c103cabe61bb9",
+    ("approx24", "blocks"): "5b45a54da472b294fe09b27cfb354f05aa9c3d15b31c6682a145ba3c7c46d35e",
+    ("approx24", "row"): "44ae9b3518698ed48da9a80ac9511bd31f9dffddb289a46af95cb983f79eb59e",
+    ("biased", "blocks"): "59c659da7c611c8d5b60977f09500377b6e7a9641d90c934eb5a5386174fcb9a",
+    ("biased", "row"): "6b5e86ddef5ab1d5dc443363b59a39d7cc20b414b8cf9e566b5f11712320d43a",
+    ("uniform", "blocks"): "637c58252745e1b368d4ce448902b4a7e6011e566d20ee79825c1d3a4b7000f0",
+    ("uniform", "row"): "0e72f00355188bd349573d742d5c83db2e0047e300f7961a8501f97c58e60b08",
+    ("unbiased-uniform", "blocks"): "c0a810481fd82a6bd03b53417dd8cc12732df4345fee0e81e9de7a41c61bdc9d",
+    ("unbiased-uniform", "row"): "f71071c0f84c738ef7b0d84328af2a41c9e96c2b0acb30fefd84e4695253c65a",
+}
+
+ROWS = {2: [0.7, -0.2], 4: [0.3, -1.2, 0.05, 2.0]}
+
+
+@pytest.mark.parametrize("kind,case", [(EstimatorKind(k), c) for k, c in FLOAT64_DIGESTS],
+                         ids=[f"{k}-{c}" for k, c in FLOAT64_DIGESTS])
+def test_float64_draws_keep_their_digests(kind, case):
+    # "blocks": one call over the block set; "row": one block drawn 10,000
+    # times through a broadcast view, as verify and mc_estimate draw it.
+    m = kind.required_pattern.m
+    values = float64_blocks(m) if case == "blocks" else np.broadcast_to(ROWS[m], (10_000, m))
+    out, mask = prune_array(values, kind, None, RandomStream(8))
+    assert out.dtype == np.float64
+    digest = hashlib.sha256(np.ascontiguousarray(out).tobytes() + np.ascontiguousarray(mask).tobytes())
+    assert digest.hexdigest() == FLOAT64_DIGESTS[kind.value, case]
