@@ -21,21 +21,20 @@ rescaling).
 
 Each method is one ``Method`` record in ``METHODS``: its pattern, kernel,
 keep and drop probabilities (p, q), rescale flag and error factor. Every
-variance and error formula is derived from the record, and a stochastic
-method's probabilities and error factor from its one kept-set table.
-Every stochastic kernel takes one uniform per block and draw; both 2:4
-samplers draw the kept pair from the running sums of the block's six
-pair probabilities.
+variance and error formula is derived from the record. A stochastic
+method's law is one kept-set table, which gives its draws, its
+probabilities and its error factor alike; one draw serves every table,
+with one uniform per block and draw.
 All functions treat a kept value of a zero entry as exact zero and use
 the convention 0^2 / 0 = 0.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -119,44 +118,39 @@ def _float_blocks(values, m: int | None = None) -> np.ndarray:
 # A block is out of range when its largest magnitude is neither 0 nor in
 # [_LOW, _HIGH): its magnitude total may overflow, or subnormal rounding may
 # move a draw. Probabilities and draws do not depend on scale, so such a
-# block is scaled by a power of two, which is exact, and its survivors are
-# scaled back. Float32 blocks are never out of range.
-_LOW, _HIGH = 2.0**-1000, 2.0**1000
+# block's magnitudes are scaled by a power of two, which is exact, and its
+# survivors and error factors are scaled back. A small block goes to a
+# largest magnitude in [0.5, 1), a large one only to [2^1019, 2^1020),
+# where no sum of four overflows: a subnormal entry beside it keeps all
+# but at most four of its bits. Float32 blocks are never out of range.
+_LOW, _HIGH = np.float64(2.0**-1000), np.float64(2.0**1000)
 
 
-def _out_of_range(top: np.ndarray) -> np.ndarray:
-    """Whether each block, of largest magnitude ``top``, is out of range."""
-    return (top >= _HIGH) | ((top < _LOW) & (top > 0.0))
-
-
-def _in_range(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(values, magnitude rows, exponent) of (n, m) blocks: values with each
-    out-of-range block scaled by 2**-e to a largest magnitude in [0.5, 1),
-    their magnitude rows, and e per block (0 for the others), or None when
-    every block is in range. A kernel draws from the first two and scales
-    its survivor rows back with _unscale."""
+def _scaled_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(magnitude rows, exponent) of (n, m) blocks: their (m, n) magnitudes
+    in the blocks' dtype, each out-of-range block's scaled by 2**-e, and e
+    per block (0 for the others), or None when every block is in range."""
     mags_t = _magnitude_rows(values)
     top = np.maximum.reduce(mags_t)
-    out = _out_of_range(top)
+    out = (top >= _HIGH) | ((top < _LOW) & (top > 0.0))
     if not np.count_nonzero(out):
-        return values, mags_t, None
-    exponent = np.where(out, np.frexp(top)[1], 0)
-    values = np.ldexp(values, -exponent[:, None])
-    return values, _magnitude_rows(values), exponent
+        return mags_t, None
+    exponent = np.where(out, np.frexp(top)[1] - 1020 * (top >= _HIGH), 0)
+    return np.ldexp(mags_t, -exponent), exponent
 
 
 def _unscale(rows: np.ndarray, exponent: np.ndarray | None) -> np.ndarray:
-    """Undo _in_range's scaling of (..., n) rows of n blocks; beyond float64
-    is +-inf."""
+    """Undo _scaled_rows's scaling of (..., n) rows of n blocks; beyond
+    float64 is +-inf."""
     if exponent is None:
         return rows
     with np.errstate(over="ignore"):
         return np.ldexp(rows, exponent)
 
 
-def _magnitude_rows(values: np.ndarray, dtype=np.float64) -> np.ndarray:
+def _magnitude_rows(values: np.ndarray) -> np.ndarray:
     """Magnitudes of (n, m) blocks as contiguous (m, n) rows."""
-    return np.abs(values.T, out=np.empty(values.shape[::-1], dtype=dtype))
+    return np.abs(values.T, out=np.empty(values.shape[::-1], dtype=values.dtype))
 
 
 def _where_kept(keep: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -196,7 +190,7 @@ def greedy_mask_array(values: np.ndarray, pattern: SparsityPattern) -> np.ndarra
     Ties are broken toward the lower index, so the result is deterministic.
     """
     values = _float_blocks(values, pattern.m)
-    mags_t = _magnitude_rows(values, values.dtype)
+    mags_t = _magnitude_rows(values)
     # The rank of row c counts the rows ahead of it. A later row is ahead
     # of row i only when strictly larger, so ties go to the lower index, as
     # in a stable argsort of the negated magnitudes. Row i is compared with
@@ -223,57 +217,35 @@ def prune_greedy_array(
 # 1:2 estimators
 
 
-def prune_mvue12_array(
-    values: np.ndarray, u: np.ndarray, proportional: bool = True, rescale: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """1:2 pruning, one uniform per block and draw, u of shape (..., n) for
-    (n, 2) blocks, on contiguous (2, n) rows.
-
-    With ``proportional`` entry 0 is kept with probability P = |a0| / (|a0|
-    + |a1|) (1 for an all-zero block), else by a fair coin. With
-    ``rescale`` the survivor is divided by its keep probability: it becomes
-    sign * (|a0| + |a1|), or twice its value for the coin. The defaults
-    are mvue12, the minimum-variance unbiased 1:2 estimator.
-    """
-    values, exponent = _block_matrix(values, 2), None
-    lead, u = u.shape[:-1], u.reshape(math.prod(u.shape[:-1]), len(values))
-    if proportional:
-        values, (m0, m1), exponent = _in_range(values)
-        total = m0 + m1
-        with np.errstate(invalid="ignore"):
-            share = m0 / total
-    rows = values.T
-    # Entry 1 is kept when u >= P; no u is >= an all-zero block's 0/0.
-    keep = np.empty((2, *u.shape), dtype=bool)
-    np.greater_equal(u, share if proportional else 0.5, out=keep[1])
-    np.logical_not(keep[1], out=keep[0])
-    if not rescale:
-        survivors = rows
-    elif proportional:
-        # Signs formed into contiguous rows: a product with strided rows is slow.
-        survivors = np.sign(rows, out=np.empty(rows.shape))
-        survivors *= total
-    else:
-        survivors = 2.0 * rows
-    survivors = _unscale(survivors, exponent)
-    return _from_rows(_where_kept(keep, survivors[:, None]), lead), _from_rows(keep, lead)
-
-
 def _table12(mags_t: np.ndarray):
-    """Kept-set table of magnitude-proportional 1:2 selection (see
-    _stochastic): rows and kept masses |a_0| and |a_1|, and their total,
-    mvue12's survivor; an all-zero block keeps index 0."""
+    """Magnitude-proportional 1:2 selection (see _stochastic): index 1 is
+    drawn where u >= |a_0| / (|a_0| + |a_1|), over a total of 1, which no
+    u is for an all-zero block (0 / 0). The rows and kept masses are |a_0|
+    and |a_1|, or 1 and 0 for an all-zero block; mvue12's survivor is their
+    sum."""
+    mags_t = mags_t.astype(np.float64, copy=False)
     total = mags_t[0] + mags_t[1]
-    empty = total == 0.0
-    rows = np.where(empty, ((1.0,), (0.0,)), mags_t)
-    return rows, np.where(empty, 1.0, total), rows, total
+
+    def draw():
+        with np.errstate(invalid="ignore"):
+            return (mags_t[0] / total,), 1.0, None, total
+
+    def stats():
+        empty = total == 0.0
+        rows = np.where(empty, ((1.0,), (0.0,)), mags_t)
+        return rows, np.where(empty, 1.0, total), rows, total
+
+    return draw, stats
 
 
 def _coin_table(mags_t: np.ndarray):
-    """Kept-set table of the fair coin: constant rows, and unbiased-uniform's
-    survivor 2 |a|."""
-    rows = np.ones(mags_t.shape)
-    return rows, 2.0, rows, 2.0 * mags_t
+    """The fair coin (see _stochastic): index 1 is drawn where u >= 1/2.
+    Constant rows, and unbiased-uniform's survivor 2 |a|."""
+    def stats():
+        rows = np.ones(mags_t.shape)
+        return rows, 2.0, rows, 2.0 * mags_t
+
+    return lambda: ((0.5,), 1.0, None, 2.0 * mags_t), stats
 
 
 def mvue12_selection_probs(values: np.ndarray) -> np.ndarray:
@@ -326,10 +298,6 @@ for _c, (_i, _j) in enumerate(zip(_PAIR_FIRST, _PAIR_SECOND)):
 PAIR_INDEX_COLUMNS: tuple[tuple[int, int], ...] = tuple(
     (int(i), int(j)) for i, j in zip(_PAIR_FIRST, _PAIR_SECOND)
 )
-# Sorted positions of each pair column as a bit set (bit k: position k kept).
-_PAIR_BITS = ((1 << _PAIR_FIRST) | (1 << _PAIR_SECOND)).astype(np.uint8)
-# Columns of the pairs (k, 3) that join the max with one of the zeros.
-_THREE_ZERO_COLUMNS = np.array([2, 4, 5], dtype=np.uint8)
 # Per position, the columns of the three pairs that hold it.
 _HOLDING_PAIRS = _entry_columns(PAIR_INDEX_COLUMNS, 4)
 
@@ -356,93 +324,54 @@ def _sort4(mags_t: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
 
 
 def _exact24_sums(mags_t: np.ndarray):
-    """(ranks, scale, running sums, all-zero blocks or None, blocks with
-    three zeros) of (4, n) magnitude rows of in-range blocks, as in the
+    """(ranks, scale, running sums, all-zero blocks, blocks with three
+    zeros) of (4, n) magnitude rows of in-range blocks, as in the
     comment above; the four running sums after the leading 0 are scaled
     like ``scale``, which is the last one. Sorted and ranked in the rows'
     dtype, which is exact; the sums are float64."""
     (b1, b2, b3, b4), ranks = _sort4(mags_t)
     b1, b2, b3, b4 = (b.astype(np.float64, copy=False) for b in (b1, b2, b3, b4))
-    all_zero = b4 == 0.0
-    if not np.count_nonzero(all_zero):
-        all_zero = None
     small = b1 + b2 + b3
     scale = np.where(b4 > small, small, 0.5 * (small + b4))
     middle = np.maximum(np.minimum(2.0 * b2 + b3 - b4, 2.0 * (small - b4)), 0.0)
     sums = (0.25 * np.maximum(2.0 * b1 + b3 - b4, 0.0), b1, b1 + 0.25 * middle, b1 + b2)
-    return ranks, scale, sums, all_zero, (small == 0.0) & (b4 > 0.0)
-
-
-def _count_at_or_below(u: np.ndarray, total: np.ndarray, sums) -> np.ndarray:
-    """Pair column drawn by (draws, n) uniforms: the uint8 count of the (n,)
-    running sums at or below u * total. A column of probability 0 repeats
-    a sum and is never drawn."""
-    x = u * total
-    col = (x >= sums[0]).view(np.uint8)
-    for running in sums[1:]:
-        col += x >= running
-    return col
-
-
-def prune_mvue24_exact_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-variance unbiased 2:4 pruning, one uniform per block and
-    draw, u of shape (..., n) for (n, 4) blocks. Draws the pair from the
-    running sums and writes the survivors in the closed forms of the
-    comment above, both formed once per block. Works on contiguous (4, n)
-    rows, one numpy pass per step. Float32 blocks, never out of range, stay
-    float32 but for the sums: float32(max(scale, |a|)) is max(float32(scale),
-    |a|), as rounding is monotone, and beyond float32 +-inf.
-    """
-    values = _float_blocks(values, 4)
-    lead, u = u.shape[:-1], u.reshape(math.prod(u.shape[:-1]), len(values))
-    values, mags_t, exponent = _in_range(values) if values.dtype == np.float64 else (
-        values, _magnitude_rows(values, values.dtype), None)
-    ranks, scale, sums, all_zero, three_zero = _exact24_sums(mags_t)
-    # The leading 0 is always at or below u * scale.
-    col = _count_at_or_below(u, scale, sums)
-    col += 1
-    # Degenerate blocks: ties among zeros are resolved uniformly.
-    if all_zero is not None:
-        np.copyto(col, (6.0 * u).astype(np.uint8), where=all_zero)
-    if np.count_nonzero(three_zero):
-        np.copyto(col, _THREE_ZERO_COLUMNS[(3.0 * u).astype(np.intp)], where=three_zero)
-    # Free the draw's rows before the output's are made.
-    del sums, all_zero, three_zero
-    if scale.dtype != values.dtype:
-        with np.errstate(over="ignore"):
-            scale = scale.astype(values.dtype)
-
-    # An entry is kept when the chosen pair holds its rank.
-    keep = np.bitwise_and(_PAIR_BITS[col] >> ranks[:, None], 1).view(bool)
-    # A zero entry is kept only where the scale is 0: this is sign(a) max(scale,
-    # |a|) where kept, with no 0 * inf (NaN) where a float32 scale overflowed.
-    survivors = _unscale(np.copysign(np.maximum(scale, mags_t), np.sign(values.T)), exponent)
-    return _from_rows(_where_kept(keep, survivors[:, None]), lead), _from_rows(keep, lead)
+    return ranks, scale, sums, b4 == 0.0, (small == 0.0) & (b4 > 0.0)
 
 
 def _exact24_table(mags_t: np.ndarray):
-    """Kept-set table of mvue24 (see _stochastic): the differences of the
-    running sums in index-pair order, their total the scale, the kept
-    masses in the closed form min(|a|, scale), as a sum of three
-    differences rounds up to 4 ulps apart from it and so from the
-    kernel's survivors, and the survivors max(scale, |a|). Degenerate
-    blocks draw the pairs of tied zeros (all-zero) or of the max and a
-    zero (three zeros) evenly."""
+    """mvue24's law (see _stochastic): the pairs of sorted positions drawn
+    from the running sums of the comment above, with the leading 0, over
+    the scale; the survivors max(scale, |a|), float32 for a float32 block:
+    float32(max(scale, |a|)) is max(float32(scale), |a|), as rounding is
+    monotone, and beyond float32 +-inf. A degenerate block draws the pairs
+    of tied zeros (all-zero) or of the max and a zero (three zeros) evenly,
+    from running sums 1 to 5 of 6, or 0, 0, 1, 1, 2 of 3. The statistics'
+    rows are the sums' differences, in index-pair order, and their kept
+    masses the closed form min(|a|, scale): a sum of three differences
+    rounds up to 4 ulps apart from it and so from the survivors."""
     ranks, scale, sums, all_zero, three_zero = _exact24_sums(mags_t)
-    zero = np.zeros_like(scale)
-    rows = np.diff(np.stack((zero, zero, *sums, scale)), axis=0)
-    total, kept = scale.copy(), np.minimum(mags_t, scale)
-    if all_zero is not None:
-        rows[:, all_zero], total[all_zero], kept[:, all_zero] = 1.0, 6.0, 3.0
-    rows[:, three_zero] = 0.0
-    rows[np.ix_(_THREE_ZERO_COLUMNS, three_zero.nonzero()[0])] = 1.0
-    total[three_zero] = 3.0
-    kept[:, three_zero] = np.where(mags_t[:, three_zero] > 0.0, 3.0, 1.0)
-    # Index pair (i, j) is the sorted pair of their ranks: gathered from
-    # the flat rows, far faster than fancy indexing by (ranks, ranks).
-    pairs = ranks.take(_PAIR_FIRST, axis=0) * np.uint8(4) + ranks.take(_PAIR_SECOND, axis=0)
-    flat = _PAIR_COLUMN.ravel().take(pairs) * len(scale) + np.arange(len(scale))
-    return rows.take(flat), total, kept, np.maximum(scale, mags_t)
+    *running, total = np.zeros_like(scale), *sums, scale.copy()
+    for blocks, steps in ((all_zero, range(1, 7)), (three_zero, (0, 0, 1, 1, 2, 3))):
+        if np.count_nonzero(blocks):
+            for row, step in zip((*running, total), steps):
+                row[blocks] = step
+
+    def draw():
+        with np.errstate(over="ignore"):
+            return running, total, ranks, np.maximum(scale.astype(mags_t.dtype, copy=False), mags_t)
+
+    def stats():
+        rows = np.diff(np.stack((np.zeros_like(total), *running, total)), axis=0)
+        kept = np.minimum(mags_t, total)
+        kept[:, all_zero] = 3.0
+        kept[:, three_zero] = np.where(mags_t[:, three_zero] > 0.0, 3.0, 1.0)
+        # Index pair (i, j) is the sorted pair of their ranks: gathered from
+        # the flat rows, far faster than fancy indexing by (ranks, ranks).
+        pairs = ranks.take(_PAIR_FIRST, axis=0) * np.uint8(4) + ranks.take(_PAIR_SECOND, axis=0)
+        flat = _PAIR_COLUMN.ravel().take(pairs) * len(total) + np.arange(len(total))
+        return rows.take(flat), total, kept, np.maximum(scale, mags_t)
+
+    return draw, stats
 
 
 def exact24_marginal_probs(values: np.ndarray) -> np.ndarray:
@@ -472,19 +401,26 @@ def exact24_pair_probs(values: np.ndarray) -> np.ndarray:
 
 # Per position, the other three.
 _OTHER_POSITIONS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-_POSITIONS = np.arange(4, dtype=np.uint8)[:, None, None]
 
 
-def _approx24_pair_rows(mags_t: np.ndarray) -> np.ndarray:
-    """(6, n) pair probabilities of (4, n) magnitude rows of in-range
-    blocks, one first pick at a time to hold few rows. An all-zero block
-    draws its first pick uniformly."""
+def _approx24_table(mags_t: np.ndarray):
+    """approx24's law (see _stochastic): the pairs drawn in index order
+    from the running sums of their probabilities, normalized already (total
+    1), formed one first pick at a time to hold few rows, an all-zero
+    block's first pick uniform; the running sums are formed in place. p is
+    the sum of an entry's three pairs and the survivor |a| / p, formed in
+    place of p, NaN or inf where p is 0, for an entry never drawn. Float32
+    magnitudes are widened. Where p rounds to 0 the statistics take the
+    survivor's closed form, the ratio of sums S / (1 + sum_{k != i} w_k),
+    w_k = |a_k| / (S - |a_k|), since p_i = |a_i| (1 + sum_{k != i} w_k) /
+    S: entry i is drawn first, or second after some k."""
+    mags_t = mags_t.astype(np.float64, copy=False)
     total = mags_t[0] + mags_t[1] + mags_t[2] + mags_t[3]
     with np.errstate(invalid="ignore", divide="ignore"):
         share = mags_t / total
         share[:, total == 0.0] = 0.25
         del total
-        pairs = np.zeros((6, mags_t.shape[1]))
+        rows = np.zeros((6, mags_t.shape[1]))
         for i, (j, k, l) in enumerate(_OTHER_POSITIONS):
             rest = mags_t[j] + mags_t[k] + mags_t[l]
             empty = rest == 0.0
@@ -492,24 +428,25 @@ def _approx24_pair_rows(mags_t: np.ndarray) -> np.ndarray:
                 term = mags_t[partner] / rest
                 term[empty] = 1.0 / 3.0
                 term *= share[i]
-                pairs[_PAIR_COLUMN[i, partner]] += term
-    return pairs
+                rows[_PAIR_COLUMN[i, partner]] += term
+    del share, rest, empty, term
+    kept = _set_sums(rows, _HOLDING_PAIRS)
 
+    def draw():
+        for c in range(1, 6):
+            rows[c] += rows[c - 1]  # far faster than np.cumsum on rows
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return rows[:5], rows[5], None, np.divide(mags_t, kept, out=kept)
 
-def _approx24_table(mags_t: np.ndarray):
-    """Kept-set table of approx24 (see _stochastic): the pair probabilities,
-    normalized already (total 1), the kept masses summed as the sampler sums them, and the
-    survivors |a| / p as the ratio of sums S / (1 + sum_{k != i} w_k), w_k
-    = |a_k| / (S - |a_k|), since p_i = |a_i| (1 + sum_{k != i} w_k) / S:
-    entry i is drawn first, or second after some k. It holds where p
-    rounds to 0."""
-    rows = _approx24_pair_rows(mags_t)
-    # w is inf where the other entries sum to a subnormal far below |a_k|;
-    # the survivors beside that entry are then 0.
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        w = mags_t / mags_t[_OTHER_POSITIONS].sum(axis=1)
-        survivor = mags_t.sum(axis=0) / (1.0 + w[_OTHER_POSITIONS].sum(axis=1))
-    return rows, 1.0, _set_sums(rows, _HOLDING_PAIRS), survivor
+    def stats():
+        # w is inf where the other entries sum to a subnormal far below
+        # |a_k|; the survivors beside that entry are then 0.
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            w = mags_t / mags_t[_OTHER_POSITIONS].sum(axis=1)
+            closed = mags_t.sum(axis=0) / (1.0 + w[_OTHER_POSITIONS].sum(axis=1))
+            return rows, 1.0, kept, np.where(kept > 0.0, mags_t / kept, closed)
+
+    return draw, stats
 
 
 def approx24_pair_probs(values: np.ndarray) -> np.ndarray:
@@ -524,51 +461,28 @@ def approx24_exclusion_probs(values: np.ndarray) -> np.ndarray:
     return METHODS[EstimatorKind.MVUE24_APPROX].probs(values, None)[1]
 
 
-def prune_mvue24_approx_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sequential magnitude-proportional 2:4 pruning, one uniform per block
-    and draw, u of shape (..., n) for (n, 4) blocks. Draws the pair from
-    the running sums of its probabilities and divides each survivor by p,
-    the sum of its three pairs, both formed once per block. Float32 blocks
-    are widened by the ufuncs, not copied."""
-    values = _float_blocks(values, 4)
-    lead, u = u.shape[:-1], u.reshape(math.prod(u.shape[:-1]), len(values))
-    values, mags_t, exponent = _in_range(values)
-    pairs = _approx24_pair_rows(mags_t)
-    del mags_t
-    p = _set_sums(pairs, _HOLDING_PAIRS)
-    # An entry with p = 0 is never kept.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        survivors = _unscale(np.where(values.T != 0.0, values.T / p, 0.0), exponent)
-    del p
-    for c in range(1, 6):
-        pairs[c] += pairs[c - 1]  # running sums, far faster than np.cumsum on rows
-    col = _count_at_or_below(u, pairs[5], pairs[:5])
-    del pairs
-    keep = np.bitwise_and(_PAIR_BITS[col] >> _POSITIONS, 1).view(bool)
-    return _from_rows(_where_kept(keep, survivors[:, None]), lead), _from_rows(keep, lead)
-
-
 # ---------------------------------------------------------------------------
 # Method records
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Method:
     """One pruning method.
 
     ``kernel(values, u, pattern)`` draws (k, m) blocks r times, u of shape
     (r, k), one uniform per block and draw, doing each block's work once,
-    and returns (values, keep mask), broadcastable to (r, k, m). A kernel
-    that reads magnitudes draws each out-of-range block at a power-of-two
-    scale and scales its survivors back, so a block's draws are exact at
-    every finite scale and do not depend on the other blocks; greedy and
-    the coins read none and are never scaled. ``probs(values, pattern)``
-    gives each entry's keep and drop probabilities (p, q), formed
-    separately so that neither loses precision near 0.
-    ``kept_set_probs(values)`` gives the kept-index sets and, per block,
-    their probabilities; it is None for greedy, the one deterministic
-    method, whose kernel takes no uniforms. With ``rescale`` survivors are
-    divided by p (Horvitz-Thompson), which makes the method unbiased.
+    and returns (values, keep mask), broadcastable to (r, k, m). A
+    stochastic kernel draws from the kept-set table that gives its
+    statistics, at the same power-of-two scale, so that a block's draws
+    follow its probabilities at every finite scale (but for mvue24 on
+    blocks that span more than float64's range) and do not depend on the
+    other blocks. ``probs(values, pattern)`` gives each entry's keep and
+    drop probabilities (p, q), formed separately so that neither loses
+    precision near 0. ``kept_set_probs(values)`` gives the kept-index sets
+    and, per block, their probabilities; it is None for greedy, the one
+    deterministic method, whose kernel takes no uniforms and reads no
+    scale. With ``rescale`` survivors are divided by p (Horvitz-Thompson),
+    which makes the method unbiased.
 
     Per entry, the expected squared error is a^2 q / p rescaled and a^2 q
     raw; the variance is the same rescaled and a^2 p q raw. Greedy is the
@@ -588,35 +502,61 @@ class Method:
     deviation: Callable
 
 
-def _stochastic(pattern: SparsityPattern, kernel: Callable, sets, table: Callable,
-                rescale: bool) -> Method:
+def _stochastic(pattern: SparsityPattern, sets, table: Callable, rescale: bool) -> Method:
     """The record of a stochastic method whose law is one kept-set table.
 
-    ``table(mags_t)`` takes the (m, n) magnitude rows of blocks scaled as
-    below and returns per block the unnormalized probabilities of the kept
-    ``sets``, as rows in set order, their total, and per entry its kept
+    ``table(mags_t)`` takes the (m, n) magnitude rows of blocks scaled by
+    _scaled_rows and returns two functions, of which the caller calls one,
+    as each may reuse the table's rows. ``draw()`` gives (running, total,
+    positions, survivor): a draw keeps the set c where c of the ``running``
+    sums lie at or below u * total, the running sums of the sets'
+    probabilities in draw order, times the total, after the first set's;
+    ``positions`` is each entry's bit in the sets' bit codes, (m, n) ranks
+    or None for index order, and ``survivor`` is |a| / p. The kernel writes
+    sign(a) times the survivor where kept, rescaled, and a itself raw.
+    ``stats()`` gives (rows, total, kept, survivor): the sets' unnormalized
+    probabilities as rows in set order, their total, each entry's kept
     mass (the sum of its sets' rows, or that sum's closed form) and its
-    survivor magnitude |a| / p in closed form. A set's probability is its
-    row over the total, p the kept mass over the total and q the sum of
-    the other rows over the total, never 1 - p. d is the q sum times
-    (survivor / total) rescaled, and the smaller of the q sum and |a|
-    times the larger over the total raw: 0 where the q sum is, and in
-    range wherever d is.
+    survivor. A set's probability is its row over the total, p the kept
+    mass over the total and q the sum of the other rows over the total,
+    never 1 - p. d is the q sum times (survivor / total) rescaled, and the
+    smaller of the q sum and |a| times the larger over the total raw: 0
+    where the q sum is, and in range wherever d is.
     """
+    bits = np.array([sum(1 << i for i in kept) for kept in sets], dtype=np.uint8)
+    holders = np.bitwise_or.reduce(1 << _entry_columns(sets, pattern.m), axis=1)
+    holders = holders.astype(np.uint8)[:, None, None]
     dropped = _entry_columns(sets, pattern.m, held=False)
 
+    def kernel(values, u, _=None):
+        values = _float_blocks(values, pattern.m)
+        lead, u = u.shape[:-1], u.reshape(math.prod(u.shape[:-1]), len(values))
+        mags_t, exponent = _scaled_rows(values)
+        running, total, positions, survivor = table(mags_t)[0]()
+        del mags_t  # the table's rows are freed before the output's are made
+        x = u * total
+        col = (x >= running[0]).view(np.uint8)
+        for sums in running[1:]:
+            col += x >= sums
+        del x, running, total
+        # An entry is kept when the drawn set holds it: in index order each
+        # entry has its own bits over the sets, else each set over the ranks.
+        if positions is None:
+            keep = np.bitwise_and(holders >> col, 1).view(bool)
+        else:
+            keep = np.bitwise_and(bits.take(col) >> positions[:, None], 1).view(bool)
+        del col, positions
+        if rescale:
+            # A kept zero is +0; copysign, not a product, leaves no 0 * inf
+            # (NaN) where a float32 survivor overflowed.
+            survivors = _unscale(np.copysign(survivor, np.sign(values.T)), exponent)
+        else:
+            survivors = values.T
+        return _from_rows(_where_kept(keep, survivors[:, None]), lead), _from_rows(keep, lead)
+
     def law(values):
-        # Out-of-range blocks at a power-of-two scale, as the kernels draw
-        # them, but a large one only to a largest magnitude in [2^1019,
-        # 2^1020), where no sum of four overflows: a subnormal entry beside
-        # it keeps all but at most four of its bits.
-        mags_t = _magnitude_rows(_block_matrix(values, pattern.m))
-        top = np.maximum.reduce(mags_t)
-        out, exponent = _out_of_range(top), None
-        if np.count_nonzero(out):
-            exponent = np.where(out, np.frexp(top)[1] - 1020 * (top >= _HIGH), 0)
-            mags_t = np.ldexp(mags_t, -exponent)
-        return (*table(mags_t), mags_t, exponent)
+        mags_t, exponent = _scaled_rows(_block_matrix(values, pattern.m))
+        return (*table(mags_t)[1](), mags_t, exponent)
 
     def probs(values, _):
         rows, total, kept = law(values)[:3]
@@ -644,11 +584,29 @@ def _greedy_probs(values: np.ndarray, pattern: SparsityPattern) -> tuple[np.ndar
     return keep.astype(np.float64), (~keep).astype(np.float64)
 
 
-def _method12(proportional: bool, rescale: bool) -> Method:
-    return _stochastic(PATTERN_12, lambda v, u, _: prune_mvue12_array(v, u, proportional, rescale),
-                       ((0,), (1,)), _table12 if proportional else _coin_table, rescale)
+_SINGLETONS = ((0,), (1,))
+_MVUE12 = _stochastic(PATTERN_12, _SINGLETONS, _table12, True)
+_MVUE24 = _stochastic(PATTERN_24, PAIR_INDEX_COLUMNS, _exact24_table, True)
+_APPROX24 = _stochastic(PATTERN_24, PAIR_INDEX_COLUMNS, _approx24_table, True)
 
 
+def prune_mvue12_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mvue12's kernel (see Method): (n, 2) blocks, u of shape (..., n)."""
+    return _MVUE12.kernel(values, u)
+
+
+def prune_mvue24_exact_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mvue24's kernel (see Method): (n, 4) blocks, u of shape (..., n)."""
+    return _MVUE24.kernel(values, u)
+
+
+def prune_mvue24_approx_array(values: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """approx24's kernel (see Method): (n, 4) blocks, u of shape (..., n)."""
+    return _APPROX24.kernel(values, u)
+
+
+# prune_array reaches the three kernels above by their names, so that a
+# wrapper set on a name, as a tracer sets one, sees every call.
 METHODS: dict[EstimatorKind, Method] = {
     EstimatorKind.GREEDY_MSE: Method(
         None,
@@ -658,14 +616,15 @@ METHODS: dict[EstimatorKind, Method] = {
         False,
         lambda v, pattern: np.where(greedy_mask_array(v, pattern), 0.0, np.abs(v)),
     ),
-    EstimatorKind.MVUE12: _method12(proportional=True, rescale=True),
-    EstimatorKind.MVUE24_EXACT: _stochastic(PATTERN_24, lambda v, u, _: prune_mvue24_exact_array(v, u),
-                                            PAIR_INDEX_COLUMNS, _exact24_table, True),
-    EstimatorKind.MVUE24_APPROX: _stochastic(PATTERN_24, lambda v, u, _: prune_mvue24_approx_array(v, u),
-                                             PAIR_INDEX_COLUMNS, _approx24_table, True),
-    EstimatorKind.BIASED12: _method12(proportional=True, rescale=False),
-    EstimatorKind.UNIFORM12: _method12(proportional=False, rescale=False),
-    EstimatorKind.UNBIASED_UNIFORM12: _method12(proportional=False, rescale=True),
+    EstimatorKind.MVUE12: dataclasses.replace(
+        _MVUE12, kernel=lambda v, u, _: prune_mvue12_array(v, u)),
+    EstimatorKind.MVUE24_EXACT: dataclasses.replace(
+        _MVUE24, kernel=lambda v, u, _: prune_mvue24_exact_array(v, u)),
+    EstimatorKind.MVUE24_APPROX: dataclasses.replace(
+        _APPROX24, kernel=lambda v, u, _: prune_mvue24_approx_array(v, u)),
+    EstimatorKind.BIASED12: _stochastic(PATTERN_12, _SINGLETONS, _table12, False),
+    EstimatorKind.UNIFORM12: _stochastic(PATTERN_12, _SINGLETONS, _coin_table, False),
+    EstimatorKind.UNBIASED_UNIFORM12: _stochastic(PATTERN_12, _SINGLETONS, _coin_table, True),
 }
 
 
