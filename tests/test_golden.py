@@ -77,8 +77,8 @@ def test_pruned_files_keep_their_digests(kind, axis, tmp_path):
 
 # (step, refine_edges): digest of the scan_summary CSV
 SCAN_DIGESTS = {
-    (0.02, False): "f467857c66f8ef1efc9480043e4a7a7047c0539e6d879f8cfb3380380dfc6d58",
-    (0.1, True): "8d6a392dff0cb99abc9bfe86d023bf6b42f89c747651c9b8667f2f7fc2484dbf",
+    (0.02, False): "f65df91f47cdd296ee0aa659ac842b6f3f2ad593fea5b513d7d7a08ddc28ad5d",
+    (0.1, True): "df46df9109e2d6e317bd5592fb0d763876db2183657f6f9ead4bde545b991fdf",
 }
 
 
