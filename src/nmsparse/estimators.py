@@ -350,11 +350,13 @@ def _exact24_table(mags_t: np.ndarray):
     masses the closed form min(|a|, scale): a sum of three differences
     rounds up to 4 ulps apart from it and so from the survivors."""
     ranks, scale, sums, all_zero, three_zero = _exact24_sums(mags_t)
-    *running, total = np.zeros_like(scale), *sums, scale.copy()
-    for blocks, steps in ((all_zero, range(1, 7)), (three_zero, (0, 0, 1, 1, 2, 3))):
-        if np.count_nonzero(blocks):
-            for row, step in zip((*running, total), steps):
-                row[blocks] = step
+    *running, total = np.zeros_like(scale), *sums, scale
+    degenerate = np.flatnonzero(all_zero | three_zero)
+    if len(degenerate):  # columns: all-zero, three zeros
+        steps = np.array([[1, 0], [2, 0], [3, 1], [4, 1], [5, 2], [6, 3]], dtype=np.float64)
+        total = scale.copy()  # the survivors read the scale
+        for row, step in zip((*running, total), steps.take(three_zero[degenerate], axis=1)):
+            row[degenerate] = step
 
     def draw():
         with np.errstate(over="ignore"):
@@ -363,8 +365,8 @@ def _exact24_table(mags_t: np.ndarray):
     def stats():
         rows = np.diff(np.stack((np.zeros_like(total), *running, total)), axis=0)
         kept = np.minimum(mags_t, total)
-        kept[:, all_zero] = 3.0
-        kept[:, three_zero] = np.where(mags_t[:, three_zero] > 0.0, 3.0, 1.0)
+        # A degenerate block's entry is in 3 of its 6 or 3 pairs, a zero beside the max in 1.
+        kept[:, degenerate] = np.where(mags_t[:, degenerate] > 0.0, 3.0, 3.0 - 2.0 * three_zero[degenerate])
         # Index pair (i, j) is the sorted pair of their ranks: gathered from
         # the flat rows, far faster than fancy indexing by (ranks, ranks).
         pairs = ranks.take(_PAIR_FIRST, axis=0) * np.uint8(4) + ranks.take(_PAIR_SECOND, axis=0)
@@ -395,9 +397,7 @@ def exact24_pair_probs(values: np.ndarray) -> np.ndarray:
 # the optimum. The pair {i, j} is kept with probability
 #   (|a_i| / S) |a_j| / (S - |a_i|) + (|a_j| / S) |a_i| / (S - |a_j|),
 # each S - |a_k| the sum of the other three: ratios of sums, free of scale
-# and of differences. The sampler draws the pair from the running sums of
-# these six with one uniform, as mvue24 does, and an entry's p and q are
-# the sums of the three pairs with and without it.
+# and of differences.
 
 # Per position, the other three.
 _OTHER_POSITIONS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
@@ -429,7 +429,7 @@ def _approx24_table(mags_t: np.ndarray):
                 term[empty] = 1.0 / 3.0
                 term *= share[i]
                 rows[_PAIR_COLUMN[i, partner]] += term
-    del share, rest, empty, term
+    del share, rest, empty, term  # freed before the kept masses are formed
     kept = _set_sums(rows, _HOLDING_PAIRS)
 
     def draw():
@@ -506,19 +506,19 @@ def _stochastic(pattern: SparsityPattern, sets, table: Callable, rescale: bool) 
     """The record of a stochastic method whose law is one kept-set table.
 
     ``table(mags_t)`` takes the (m, n) magnitude rows of blocks scaled by
-    _scaled_rows and returns two functions, of which the caller calls one,
-    as each may reuse the table's rows. ``draw()`` gives (running, total,
-    positions, survivor): a draw keeps the set c where c of the ``running``
-    sums lie at or below u * total, the running sums of the sets'
-    probabilities in draw order, times the total, after the first set's;
-    ``positions`` is each entry's bit in the sets' bit codes, (m, n) ranks
-    or None for index order, and ``survivor`` is |a| / p. The kernel writes
-    sign(a) times the survivor where kept, rescaled, and a itself raw.
-    ``stats()`` gives (rows, total, kept, survivor): the sets' unnormalized
-    probabilities as rows in set order, their total, each entry's kept
-    mass (the sum of its sets' rows, or that sum's closed form) and its
-    survivor. A set's probability is its row over the total, p the kept
-    mass over the total and q the sum of the other rows over the total,
+    _scaled_rows and returns a pair of functions (draw, stats), of which the
+    caller calls one, as each may reuse the table's rows. ``draw()`` gives
+    (running, total, positions, survivor): a draw keeps the set c where c of
+    the ``running`` sums lie at or below u * total, the running sums of the
+    sets' probabilities in draw order, times the total, after the first
+    set's; ``positions`` is each entry's bit in the sets' bit codes, (m, n)
+    ranks or None for index order, and ``survivor`` is |a| / p. The kernel
+    writes sign(a) times the survivor where kept, rescaled, and a itself
+    raw. ``stats()`` gives (rows, total, kept, survivor): the sets'
+    unnormalized probabilities as rows in set order, their total, each
+    entry's kept mass (the sum of its sets' rows, or that sum's closed form)
+    and its survivor. A set's probability is its row over the total, p the
+    kept mass over the total and q the sum of the other rows over the total,
     never 1 - p. d is the q sum times (survivor / total) rescaled, and the
     smaller of the q sum and |a| times the larger over the total raw: 0
     where the q sum is, and in range wherever d is.
@@ -545,11 +545,11 @@ def _stochastic(pattern: SparsityPattern, sets, table: Callable, rescale: bool) 
             keep = np.bitwise_and(holders >> col, 1).view(bool)
         else:
             keep = np.bitwise_and(bits.take(col) >> positions[:, None], 1).view(bool)
-        del col, positions
         if rescale:
-            # A kept zero is +0; copysign, not a product, leaves no 0 * inf
-            # (NaN) where a float32 survivor overflowed.
-            survivors = _unscale(np.copysign(survivor, np.sign(values.T)), exponent)
+            # A kept zero is +0; copysign leaves no 0 * inf (NaN) where a float32
+            # survivor overflowed. Contiguous signs: strided rows slow later passes.
+            signs = np.sign(values.T, out=np.empty(values.shape[::-1], np.result_type(values, survivor)))
+            survivors = _unscale(np.copysign(survivor, signs, out=signs), exponent)
         else:
             survivors = values.T
         return _from_rows(_where_kept(keep, survivors[:, None]), lead), _from_rows(keep, lead)

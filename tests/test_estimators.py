@@ -825,13 +825,32 @@ class MidpointStream:
         return ((np.arange(self.n) + 0.5) / self.n).reshape(shape)
 
 
+# Normal, tied, degenerate, 1e-310-scaled and wide blocks per block length.
+GRID_BLOCKS = {
+    2: [[0.7, -0.2], [1.0, 1.0], [0.0, -3.0], [0.0, 0.0], [1e-310, -3e-310], [1e308, 1e-300]],
+    4: [[1.0, -2.0, 3.0, -4.0], [0.1, 0.2, 0.3, 5.0], [0.2, -1.0, 0.5, 1.2], [2.0, 2.0, 2.0, 2.0],
+        [0.0, 0.0, 0.0, 0.0], [0.0, -7.0, 0.0, 0.0], [0.0, 1.5, -0.5, 0.0],
+        [1e-310, -2e-310, 3e-310, -4e-310], [0.0, 1e308, 1e-300, 1e-300]],
+}
+GRID_CASES = [(kind, block) for kind in EstimatorKind if kind.is_stochastic
+              for block in GRID_BLOCKS[kind.required_pattern.m]] + [
+    pytest.param(EstimatorKind.MVUE24_EXACT, [0.0, 1.0, 5e-324, 5e-324], marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 3: the regime-3 scale rounds on the subnormal grid")),
+    (EstimatorKind.MVUE24_APPROX, [0.0, 1.0, 5e-324, 5e-324]),
+]
+
+
 class TestGridLaw:
     """Given its uniforms a sampler is a map to kept sets. Fed the
     midpoints of N equal cells, each pair, one interval of u, is kept with
     a frequency within a few 1/N of its table probability: deterministic,
-    with no seed and no sampling error."""
+    with no seed and no sampling error. On 2^16 cells each stochastic
+    kernel, called directly on one block, keeps each set within 1/N of its
+    record's probability, and each kept survivor is sign(a) |a| / p,
+    rescaled, or a itself, raw."""
 
     N = 4096
+    FINE = 1 << 16
 
     @pytest.mark.parametrize("kind", [EstimatorKind.MVUE24_EXACT, EstimatorKind.MVUE24_APPROX])
     def test_pair_frequencies_match_the_table(self, kind):
@@ -844,45 +863,20 @@ class TestGridLaw:
             freqs = np.bincount(mask @ (1 << np.arange(4)), minlength=16)[codes] / self.N
             assert np.all(np.abs(freqs - probs) <= 6 / self.N), (block, freqs, probs)
 
-
-
-# Normal, tied, degenerate, 1e-310-scaled and wide blocks per block length.
-GRID_BLOCKS = {
-    2: [[0.7, -0.2], [1.0, 1.0], [0.0, -3.0], [0.0, 0.0], [1e-310, -3e-310], [1e308, 1e-300]],
-    4: [[1.0, -2.0, 3.0, -4.0], [0.1, 0.2, 0.3, 5.0], [0.2, -1.0, 0.5, 1.2], [2.0, 2.0, 2.0, 2.0],
-        [0.0, 0.0, 0.0, 0.0], [0.0, -7.0, 0.0, 0.0], [0.0, 1.5, -0.5, 0.0],
-        [1e-310, -2e-310, 3e-310, -4e-310], [0.0, 1e308, 1e-300, 1e-300]],
-}
-GRID_CASES = [(kind, block) for kind in EstimatorKind if kind.is_stochastic
-              for block in GRID_BLOCKS[kind.required_pattern.m]] + [
-    pytest.param(EstimatorKind.MVUE24_EXACT, [0.0, 1.0, 5e-324, 5e-324], marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 3: the regime-3 scale b1 + b2 + b3 rounds on the subnormal grid")),
-    (EstimatorKind.MVUE24_APPROX, [0.0, 1.0, 5e-324, 5e-324]),
-]
-
-
-class TestDrawnLaw:
-    """Each stochastic kernel draws the law its record states: on the
-    midpoint grid u_i = (i + 0.5) / n, each kept set's frequency is within
-    1/n of its probability, and each kept survivor is sign(a) |a| / p,
-    rescaled, or a itself, raw."""
-
-    N = 1 << 16
-
     @pytest.mark.parametrize("kind,block", GRID_CASES)
-    def test_midpoint_grid_draws_the_record(self, kind, block):
+    def test_kernel_draws_the_record(self, kind, block):
         block = np.array([block])
         method = METHODS[kind]
-        u = (np.arange(self.N) + 0.5) / self.N
+        u = (np.arange(self.FINE) + 0.5) / self.FINE
         out, mask = method.kernel(block, u[:, None], kind.required_pattern)
-        out, mask = out.reshape(self.N, -1), mask.reshape(self.N, -1)
+        out, mask = out.reshape(self.FINE, -1), mask.reshape(self.FINE, -1)
         sets, probs = method.kept_set_probs(block)
         codes = mask @ (1 << np.arange(block.shape[1]))
         set_codes = [sum(1 << i for i in kept) for kept in sets]
         assert np.all(np.isin(codes, set_codes))
         for kept, code, p in zip(sets, set_codes, probs[0]):
-            freq = np.count_nonzero(codes == code) / self.N
-            assert abs(freq - p) <= 1.0 / self.N, (kept, freq, p)
+            freq = np.count_nonzero(codes == code) / self.FINE
+            assert abs(freq - p) <= 1.0 / self.FINE, (kept, freq, p)
         p = method.probs(block, None)[0][0]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             want = np.sign(block[0]) * (np.abs(block[0]) / p) if method.rescale else block[0]
