@@ -404,16 +404,17 @@ _OTHER_POSITIONS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
 def _approx24_table(mags_t: np.ndarray):
-    """approx24's law (see _stochastic): the pairs drawn in index order
-    from the running sums of their probabilities, normalized already (total
-    1), formed one first pick at a time to hold few rows, an all-zero
-    block's first pick uniform; the running sums are formed in place. p is
-    the sum of an entry's three pairs and the survivor |a| / p, formed in
-    place of p, NaN or inf where p is 0, for an entry never drawn. Float32
-    magnitudes are widened. Where p rounds to 0 the statistics take the
-    survivor's closed form, the ratio of sums S / (1 + sum_{k != i} w_k),
-    w_k = |a_k| / (S - |a_k|), since p_i = |a_i| (1 + sum_{k != i} w_k) /
-    S: entry i is drawn first, or second after some k."""
+    """approx24's law (see _stochastic): the pairs drawn in index order from
+    the running sums of their probabilities, normalized already (total 1),
+    formed one first pick at a time to hold few rows, an all-zero block's
+    first pick uniform; the running sums are formed in place. p is the sum
+    of an entry's three pairs and the survivor |a| / p, formed in place of
+    p, NaN or inf where p is 0, for an entry never drawn. Float32 magnitudes
+    are widened. Where p is subnormal or 0, and so |a| / p could be far from
+    its rounded value, the statistics take the survivor's closed form, the
+    ratio of sums S / (1 + sum_{k != i} w_k), w_k = |a_k| / (S - |a_k|),
+    since p_i = |a_i| (1 + sum_{k != i} w_k) / S: entry i is drawn first, or
+    second after some k."""
     mags_t = mags_t.astype(np.float64, copy=False)
     total = mags_t[0] + mags_t[1] + mags_t[2] + mags_t[3]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -444,7 +445,7 @@ def _approx24_table(mags_t: np.ndarray):
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             w = mags_t / mags_t[_OTHER_POSITIONS].sum(axis=1)
             closed = mags_t.sum(axis=0) / (1.0 + w[_OTHER_POSITIONS].sum(axis=1))
-            return rows, 1.0, kept, np.where(kept > 0.0, mags_t / kept, closed)
+            return rows, 1.0, kept, np.where(kept >= np.finfo(np.float64).tiny, mags_t / kept, closed)
 
     return draw, stats
 

@@ -705,6 +705,17 @@ class TestApprox24:
         np.testing.assert_array_equal(error, np.zeros((2, 4)))
         np.testing.assert_array_equal(variance, np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("block", [[1.0, 1.0, 1.0, 1e-310], [1.0, 2.0, 3.0, 3e-320]])
+    def test_error_factor_beside_a_subnormal_keep_probability(self, block):
+        # The last entry's p is subnormal, so |a| / p carries p's lost bits
+        # (1.5e-4 relative on the second block); the survivor's closed form
+        # keeps d to an ulp.
+        law = oracle_sequential_pairs(block)
+        p = sum(prob for pair, prob in law.items() if 3 in pair)
+        want = float((1 - p) * Fraction(block[3]) / p)
+        got = METHODS[EstimatorKind.MVUE24_APPROX].deviation(np.array([block]), None)[0, 3]
+        assert got == pytest.approx(want, rel=4e-16, abs=0.0)
+
 
 # ---------------------------------------------------------------------------
 # Both 2:4 samplers against the reference draw: the normalised probability
