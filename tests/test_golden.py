@@ -1,7 +1,7 @@
 """Seeded outputs stay bit-identical: SHA-256 digests of the NMSP and NMSC
 files of every method on a fixed float32 tensor, pruned along each axis,
-of every stochastic method's float64 draws, and of the variance-ratio
-scan's CSV.
+of every stochastic method's float64 draws, of the variance-ratio scan's
+CSV, and of the ``verify`` stdout and ``demo-train`` CSVs of the CLI.
 
 67 x 71 leaves a tail on both axes for m = 2 and m = 4; the tensor holds
 zeros, an all-zero row and an all-zero column. A digest changes only with
@@ -9,12 +9,15 @@ the bits of some draw, survivor or file field; a change that means to
 alter them records the new digests and says which outputs moved and why.
 """
 
+import contextlib
 import hashlib
+import io
 
 import numpy as np
 import pytest
 
 from nmsparse.analysis import scan_summary
+from nmsparse.cli import EXIT_OK, main
 from nmsparse.core import BlockedTensor, SparsityPattern
 from nmsparse.estimators import EstimatorKind, prune_array, prune_tensor
 from nmsparse.rng import RandomStream
@@ -136,3 +139,37 @@ def test_float64_draws_keep_their_digests(kind, case):
     assert out.dtype == np.float64
     digest = hashlib.sha256(np.ascontiguousarray(out).tobytes() + np.ascontiguousarray(mask).tobytes())
     assert digest.hexdigest() == FLOAT64_DIGESTS[kind.value, case]
+
+
+# method: digest of `nmsparse verify --method <method> --blocks 20 --samples 2000`'s stdout
+VERIFY_DIGESTS = {
+    "mvue24": "66eef5f4f5d5a5698f615f73ff5db8a8216b9d2e1d04e4d3c46d721ae9ccf57c",
+    "approx24": "aac4235b9745448313532e2e075d521cecd2685cc2e013be74483876796a9672",
+    "mvue12": "bb71d43c47416d16b8bc6b3ae46b28b49ddbbad34ced62fe833c944aa6a9d37c",
+    "greedy": "6efb17e10daaea50f1283cb6bcccae72969c0cb26627fb35444c784102b5e961",
+}
+
+
+@pytest.mark.parametrize("method", list(VERIFY_DIGESTS))
+def test_verify_stdout_keeps_its_digest(method):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--method", method, "--blocks", "20", "--samples", "2000"]) == EXIT_OK
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == VERIFY_DIGESTS[method]
+
+
+# --act-mask: digest of the demo-train CSV at seed 101, 12 epochs, mvue24
+# gradient masks; seed 101 is where the benchmark's training gate misses.
+TRAIN_DIGESTS = {
+    "none": "2ca647b33ead097157f9c2cdf5c6e0d37001b57697284c80bcbfb93c56b25996",
+    "relu-greedy": "8bef86898291161153160fc24266e2de1ddc4ca9622fb2cdad06da9554b4721d",
+}
+
+
+@pytest.mark.parametrize("act_mask", list(TRAIN_DIGESTS))
+def test_demo_train_csv_keeps_its_digest(act_mask, tmp_path):
+    csv = tmp_path / "curve.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["demo-train", "--seed", "101", "--epochs", "12", "--grad-mask", "mvue24",
+                     "--act-mask", act_mask, "--out", str(csv)]) == EXIT_OK
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == TRAIN_DIGESTS[act_mask]
