@@ -180,28 +180,32 @@ def _set_sums(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _ranks(rows: np.ndarray, ahead: Callable) -> np.ndarray:
+    """(m, n) ranks of (m, n) rows: the rank of row c counts the rows ahead
+    of it, a later row ahead of an earlier one only where ``ahead(later,
+    earlier)``, so equal values keep their index order, as in a stable
+    argsort. Row i is compared with all later rows at once."""
+    ranks = np.zeros(rows.shape, dtype=np.uint8)
+    for i in range(len(rows) - 1):
+        later = ahead(rows[i + 1 :], rows[i])
+        ranks[i] += later.sum(axis=0, dtype=np.uint8)
+        ranks[i + 1 :] += ~later
+    return ranks
+
+
 # ---------------------------------------------------------------------------
 # Greedy magnitude masking
 
 
 def greedy_mask_array(values: np.ndarray, pattern: SparsityPattern) -> np.ndarray:
-    """Keep-masks for the pattern.kept largest magnitudes per block.
+    """Keep-masks for the pattern.kept largest magnitudes per block: the
+    ranks of the magnitudes, largest first.
 
     Ties are broken toward the lower index, so the result is deterministic.
     """
     values = _float_blocks(values, pattern.m)
-    mags_t = _magnitude_rows(values)
-    # The rank of row c counts the rows ahead of it. A later row is ahead
-    # of row i only when strictly larger, so ties go to the lower index, as
-    # in a stable argsort of the negated magnitudes. Row i is compared with
-    # all later rows at once.
-    ranks = np.zeros(mags_t.shape, dtype=np.uint8)
-    for i in range(pattern.m - 1):
-        behind = mags_t[i + 1 :] > mags_t[i]
-        ranks[i] += behind.sum(axis=0, dtype=np.uint8)
-        ranks[i + 1 :] += ~behind
     mask = np.empty(values.shape, dtype=bool)
-    np.less(ranks, pattern.kept, out=mask.T)
+    np.less(_ranks(_magnitude_rows(values), np.greater), pattern.kept, out=mask.T)
     return mask
 
 
@@ -305,9 +309,8 @@ _HOLDING_PAIRS = _entry_columns(PAIR_INDEX_COLUMNS, 4)
 def _sort4(mags_t: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Sorted rows b1 <= b2 <= b3 <= b4 of (4, n) magnitudes, and ranks.
 
-    The five-comparator sorting network gives the sorted magnitudes. The
-    rank of row c counts the rows ahead of it in (magnitude, index) order,
-    so equal magnitudes keep their index order, as in a stable argsort.
+    The five-comparator sorting network gives the sorted magnitudes, and
+    the ranks are those of the magnitudes, smallest first.
     """
     m0, m1, m2, m3 = mags_t
     lo01, hi01 = np.minimum(m0, m1), np.maximum(m0, m1)
@@ -315,12 +318,7 @@ def _sort4(mags_t: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     b1, mid_lo = np.minimum(lo01, lo23), np.maximum(lo01, lo23)
     mid_hi, b4 = np.minimum(hi01, hi23), np.maximum(hi01, hi23)
     b2, b3 = np.minimum(mid_lo, mid_hi), np.maximum(mid_lo, mid_hi)
-    ranks = np.zeros(mags_t.shape, dtype=np.uint8)
-    for i, j in PAIR_INDEX_COLUMNS:
-        above = mags_t[i] > mags_t[j]
-        ranks[i] += above
-        ranks[j] += ~above
-    return (b1, b2, b3, b4), ranks
+    return (b1, b2, b3, b4), _ranks(mags_t, np.less)
 
 
 def _exact24_sums(mags_t: np.ndarray):
