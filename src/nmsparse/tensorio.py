@@ -86,13 +86,35 @@ def _read_exact(fh, count: int, what: str) -> bytes | bytearray:
 _MAX_ELEMENTS = np.iinfo(np.intp).max // 8
 
 
-def _read_shape(fh, ndim: int) -> tuple[int, ...]:
-    """A header's ndim dimensions; a shape that numpy cannot hold as
-    float64 is a format error, even with a zero dimension."""
+# Per format: its name, and the count of its fields between dtype and ndim.
+_FORMATS = {TENSOR_MAGIC: ("tensor file", 0), COMPRESSED_MAGIC: ("compressed tensor file", 3)}
+
+
+def _header(magic: bytes, shape: tuple[int, ...], *fields: int) -> bytes:
+    """A file header: magic, version, dtype, the format's fields, ndim, shape."""
+    return struct.pack(f"<4sHH{len(fields) + 1}H{len(shape)}Q", magic, FORMAT_VERSION,
+                       DTYPE_FLOAT32, *fields, len(shape), *shape)
+
+
+def _read_header(fh, magic: bytes) -> tuple[list[int], tuple[int, ...]]:
+    """(fields, shape) of a header that _header packed, checked: a shape
+    that numpy cannot hold as float64 is a format error, even with a zero
+    dimension."""
+    name, count = _FORMATS[magic]
+    got, version, dtype, *fields, ndim = struct.unpack(
+        f"<4sHH{count + 1}H", _read_exact(fh, 10 + 2 * count, "header"))
+    if got != magic:
+        raise TensorFormatError(f"bad magic {got!r}; not a {name}")
+    if version != FORMAT_VERSION:
+        raise TensorFormatError(f"unsupported version {version}")
+    if dtype != DTYPE_FLOAT32:
+        raise TensorFormatError(f"unsupported dtype code {dtype}")
+    if ndim == 0:
+        raise TensorFormatError("scalar tensor files are not supported")
     shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "shape"))
     if math.prod(s or 1 for s in shape) > _MAX_ELEMENTS:
         raise TensorFormatError(f"shape {shape} is too large")
-    return shape
+    return fields, shape
 
 
 def _float32_payload(values: np.ndarray) -> np.ndarray:
@@ -145,11 +167,7 @@ def _write_tensor(path, t: BlockedTensor) -> None:
     """write_tensor's body, for the CLI's worker thread: it calls no public
     function of the library, which a tracer of the calling thread may wrap."""
     payload = _float32_payload(t.data)
-    header = struct.pack(
-        "<4sHHH", TENSOR_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, len(t.shape)
-    )
-    header += struct.pack(f"<{len(t.shape)}Q", *t.shape)
-    _write_atomic(path, (header, payload))
+    _write_atomic(path, (_header(TENSOR_MAGIC, t.shape), payload))
 
 
 def read_tensor(path) -> BlockedTensor:
@@ -158,16 +176,7 @@ def read_tensor(path) -> BlockedTensor:
     The data is the file's float32 payload, read-only and checked finite.
     """
     with open(path, "rb") as fh:
-        magic, version, dtype, ndim = struct.unpack("<4sHHH", _read_exact(fh, 10, "header"))
-        if magic != TENSOR_MAGIC:
-            raise TensorFormatError(f"bad magic {magic!r}; not a tensor file")
-        if version != FORMAT_VERSION:
-            raise TensorFormatError(f"unsupported version {version}")
-        if dtype != DTYPE_FLOAT32:
-            raise TensorFormatError(f"unsupported dtype code {dtype}")
-        if ndim == 0:
-            raise TensorFormatError("scalar tensor files are not supported")
-        shape = _read_shape(fh, ndim)
+        shape = _read_header(fh, TENSOR_MAGIC)[1]
         payload = _read_exact(fh, 4 * math.prod(shape), "payload")
         if fh.read(1):
             raise TensorFormatError("trailing bytes after payload")
@@ -325,31 +334,19 @@ def decompress(c: CompressedSparseTensor) -> BlockedTensor:
 
 def write_compressed(path, c: CompressedSparseTensor) -> None:
     """Write a compressed tensor file, atomically."""
-    header = struct.pack("<4sHHHHHH", COMPRESSED_MAGIC, FORMAT_VERSION, DTYPE_FLOAT32,
-                         c.pattern.n, c.pattern.m, c.block_axis, len(c.shape))
-    header += struct.pack(f"<{len(c.shape)}Q", *c.shape)
+    header = _header(COMPRESSED_MAGIC, c.shape, c.pattern.n, c.pattern.m, c.block_axis)
     _write_atomic(path, (header, np.ascontiguousarray(c.values, dtype="<f4"),
                          np.ascontiguousarray(c.indices), np.ascontiguousarray(c.tail, dtype="<f4")))
 
 
 def read_compressed(path) -> CompressedSparseTensor:
     with open(path, "rb") as fh:
-        fields = struct.unpack("<4sHHHHHH", _read_exact(fh, 16, "header"))
-        magic, version, dtype, n, m, block_axis, ndim = fields
-        if magic != COMPRESSED_MAGIC:
-            raise TensorFormatError(f"bad magic {magic!r}; not a compressed tensor file")
-        if version != FORMAT_VERSION:
-            raise TensorFormatError(f"unsupported version {version}")
-        if dtype != DTYPE_FLOAT32:
-            raise TensorFormatError(f"unsupported dtype code {dtype}")
-        if ndim == 0:
-            raise TensorFormatError("scalar tensor files are not supported")
+        (n, m, block_axis), shape = _read_header(fh, COMPRESSED_MAGIC)
         try:
             pattern = SparsityPattern(n, m)
         except ValueError as exc:
             raise TensorFormatError(str(exc)) from None
-        shape = _read_shape(fh, ndim)
-        if not block_axis < ndim:
+        if not block_axis < len(shape):
             raise TensorFormatError(f"block axis {block_axis} out of range")
         axis_len = shape[block_axis]
         lanes = math.prod(shape[:block_axis] + shape[block_axis + 1 :])
