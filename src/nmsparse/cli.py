@@ -23,18 +23,15 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _pattern_arg(text: str) -> SparsityPattern:
-    try:
-        return SparsityPattern.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg(parse):
+    """An argparse type that converts by parse; its ValueError is a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-
-def _method_arg(text: str) -> EstimatorKind:
-    try:
-        return EstimatorKind.from_name(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,23 +40,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="N:M fine-grained sparsity: greedy and unbiased stochastic pruning",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pattern_arg, method_arg = _arg(SparsityPattern.parse), _arg(EstimatorKind.from_name)
 
     p = sub.add_parser("prune", help="prune a tensor file blockwise")
     p.add_argument("input", help="dense tensor file to read")
     p.add_argument("output", help="pruned dense tensor file to write")
-    p.add_argument("--method", type=_method_arg, required=True)
-    p.add_argument("--pattern", type=_pattern_arg, default=None, help="N:M, e.g. 2:4")
+    p.add_argument("--method", type=method_arg, required=True)
+    p.add_argument("--pattern", type=pattern_arg, default=None, help="N:M, e.g. 2:4")
     p.add_argument("--axis", type=int, default=-1, help="blocking axis (default innermost)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--compressed", metavar="PATH", default=None,
                    help="also write the pruned tensor in compressed form")
 
     p = sub.add_parser("verify", help="run the estimator property suite")
-    p.add_argument("--method", type=_method_arg, required=True)
+    p.add_argument("--method", type=method_arg, required=True)
     p.add_argument("--blocks", type=int, default=100)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pattern", type=_pattern_arg, default=None)
+    p.add_argument("--pattern", type=pattern_arg, default=None)
 
     p = sub.add_parser("scan", help="variance-ratio scan over 2:4 blocks")
     p.add_argument("--step", type=float, default=0.02)
@@ -67,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV output path")
 
     p = sub.add_parser("macs", help="expected multiply-accumulates under random masks")
-    p.add_argument("--pattern", type=_pattern_arg, required=True)
+    p.add_argument("--pattern", type=pattern_arg, required=True)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
 
@@ -75,10 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", choices=traindemo.DATASET_KINDS, default="two-moons")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--grad-mask", default="none",
+    p.add_argument("--grad-mask", default=None,
+                   type=_arg(lambda name: None if name == "none" else EstimatorKind.from_name(name)),
                    help="gradient estimator (stochastic method name or 'none')")
     p.add_argument("--act-mask", choices=traindemo.ACT_MODES, default="none")
-    p.add_argument("--pattern", type=_pattern_arg, default=None,
+    p.add_argument("--pattern", type=pattern_arg, default=estimators.PATTERN_24,
                    help="activation-mask pattern (default 2:4)")
     p.add_argument("--epochs", type=int, default=120)
     p.add_argument("--lr", type=float, default=0.15)
@@ -181,19 +180,14 @@ def _cmd_macs(args) -> int:
 
 
 def _cmd_demo_train(args) -> int:
-    grad_mask = None
-    if args.grad_mask != "none":
-        grad_mask = EstimatorKind.from_name(args.grad_mask)
-        if grad_mask is EstimatorKind.GREEDY_MSE:
-            raise ValueError("gradient masking requires a stochastic estimator")
     config = traindemo.MlpConfig(
         epochs=args.epochs,
         lr=args.lr,
         batch_size=args.batch_size,
         seed=args.seed,
-        grad_mask=grad_mask,
+        grad_mask=args.grad_mask,
         act_mask=args.act_mask,
-        act_pattern=args.pattern if args.pattern is not None else estimators.PATTERN_24,
+        act_pattern=args.pattern,
     )
     data = traindemo.generate_dataset(args.dataset, args.n, args.noise, args.seed)
     records = traindemo.train(config, data)
@@ -227,10 +221,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except tensorio.TensorFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (tensorio.TensorFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, FloatingPointError) as exc:

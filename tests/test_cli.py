@@ -440,8 +440,10 @@ class TestDemoTrain:
         assert rc == EXIT_OK
 
     def test_greedy_gradient_mask_rejected(self, tmp_path, capsys):
-        rc, _, _ = self.run_short(tmp_path, capsys, "--grad-mask", "greedy")
-        assert rc == EXIT_USAGE
+        for name in ("greedy", "nope"):  # refused by MlpConfig, by the parser
+            rc, out, _ = self.run_short(tmp_path, capsys, "--grad-mask", name)
+            assert rc == EXIT_USAGE
+            assert not out.exists()
 
     def test_deterministic_output(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
