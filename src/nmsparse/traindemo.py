@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BlockedTensor, SparsityPattern, _lane_blocks, pattern_violations
+from .core import SparsityPattern, _lane_blocks
 from .estimators import (
     PATTERN_24,
     EstimatorKind,
@@ -31,6 +31,8 @@ from .rng import RandomStream
 
 DATASET_KINDS = ("two-moons", "spirals")
 ACT_MODES = ("none", "greedy", "relu-greedy")
+# Share of the data held out, from its end, for validation accuracy.
+VAL_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,6 @@ class MlpConfig:
     grad_pattern: SparsityPattern | None = None
     act_mask: str = "none"
     act_pattern: SparsityPattern = PATTERN_24
-    val_fraction: float = 0.25
-    validate_patterns: bool = False
 
     def __post_init__(self):
         if len(self.widths) < 3:
@@ -58,8 +58,6 @@ class MlpConfig:
             raise ValueError("epochs and batch_size must be positive")
         if not 0.0 < self.lr:
             raise ValueError("learning rate must be positive")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in (0, 1)")
         if self.act_mask not in ACT_MODES:
             raise ValueError(f"act_mask must be one of {ACT_MODES}")
         if self.grad_mask is EstimatorKind.GREEDY_MSE:
@@ -164,10 +162,6 @@ class _Mlp:
             if config.act_mask != "none":
                 h, keep = _mask_rows(h, EstimatorKind.GREEDY_MSE, config.act_pattern)
                 deriv = deriv & keep
-                if config.validate_patterns and pattern_violations(
-                    BlockedTensor.from_array(h), config.act_pattern
-                ):
-                    raise AssertionError(f"activation block violates pattern {config.act_pattern}")
             inputs.append(h)
             deriv_masks.append(deriv)
 
@@ -215,7 +209,7 @@ def _training(config: MlpConfig, data: tuple[np.ndarray, np.ndarray] | None):
     if data is None:
         data = generate_dataset("two-moons", 1024, 0.1, config.seed)
     X, y = np.asarray(data[0], dtype=np.float64), np.asarray(data[1], dtype=np.int64)
-    n_val = max(1, int(round(X.shape[0] * config.val_fraction)))
+    n_val = max(1, int(round(X.shape[0] * VAL_FRACTION)))
     X_train, y_train = X[:-n_val], y[:-n_val]
 
     master = RandomStream(config.seed, stream=11)
@@ -261,8 +255,11 @@ def train(
                 return records
 
 
-# Redraws per prune_array call in masked_gradient_check.
+# masked_gradient_check: redraws per prune_array call, the training step
+# whose gradient it captures, and the seed of its redraws.
 GRADCHECK_CHUNK = 500
+GRADCHECK_STEP = 5
+GRADCHECK_SEED = 1234
 
 
 @dataclass(frozen=True)
@@ -287,14 +284,12 @@ def masked_gradient_check(
     config: MlpConfig,
     kind: EstimatorKind | None = None,
     redraws: int = 10_000,
-    at_step: int = 5,
     layer: int = 0,
-    seed: int = 1234,
 ) -> GradCheckResult:
     """Empirical mean of repeated gradient maskings against the true
     gradient, captured mid-training.
 
-    Runs the configured training loop up to ``at_step`` updates, takes the
+    Runs the configured training loop up to GRADCHECK_STEP updates, takes the
     unmasked pre-activation gradient of ``layer`` on that step's batch,
     then redraws the mask ``redraws`` times. z-scores are
     |mean - g| / (sd_i / sqrt(redraws)) per component with sd_i from the
@@ -310,7 +305,7 @@ def masked_gradient_check(
     model, update, _, batches = _training(config, None)
     for step, (*_, X_batch, y_batch) in enumerate(batches):
         inputs, grads, _ = model.layer_gradients(X_batch, y_batch)
-        if step == at_step:
+        if step == GRADCHECK_STEP:
             captured = grads[layer]
             break
         update(inputs, grads)
@@ -322,9 +317,9 @@ def masked_gradient_check(
     # and carry no information; check only the live ones.
     blocks = blocks[np.any(blocks != 0.0, axis=1)]
     if blocks.shape[0] == 0:
-        raise ValueError(f"layer {layer} gradient is entirely zero at step {at_step}")
+        raise ValueError(f"layer {layer} gradient is entirely zero at step {GRADCHECK_STEP}")
 
-    stream = RandomStream(seed, stream=13)
+    stream = RandomStream(GRADCHECK_SEED, stream=13)
     total = np.zeros_like(blocks)
     for done in range(0, redraws, GRADCHECK_CHUNK):
         count = min(GRADCHECK_CHUNK, redraws - done)

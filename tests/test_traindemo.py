@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from nmsparse.core import SparsityPattern
+from nmsparse import traindemo
+from nmsparse.core import BlockedTensor, SparsityPattern, pattern_violations
 from nmsparse.estimators import EstimatorKind
 from nmsparse.rng import RandomStream
 from nmsparse.traindemo import (
@@ -143,8 +144,6 @@ class TestMlpConfig:
         with pytest.raises(ValueError):
             MlpConfig(batch_size=0)
         with pytest.raises(ValueError):
-            MlpConfig(val_fraction=1.0)
-        with pytest.raises(ValueError):
             MlpConfig(act_mask="sometimes")
 
     def test_rejects_greedy_gradient_mask(self):
@@ -197,11 +196,22 @@ class TestTrain:
         records = train(self.smoke_config(), data=data)
         assert len(records) == 4
 
-    def test_activation_masking_runs_with_validation(self):
+    def test_activation_masking_runs_with_validation(self, monkeypatch):
+        checked = []
+
+        def checked_mask_rows(mat, kind, pattern, stream=None):
+            out, keep = _mask_rows(mat, kind, pattern, stream)
+            if kind is EstimatorKind.GREEDY_MSE:
+                assert pattern_violations(BlockedTensor.from_array(out), pattern) == 0
+                checked.append(out.shape)
+            return out, keep
+
+        monkeypatch.setattr(traindemo, "_mask_rows", checked_mask_rows)
         for mode in ("greedy", "relu-greedy"):
-            config = self.smoke_config(act_mask=mode, validate_patterns=True)
-            records = train(config)
+            checked.clear()
+            records = train(self.smoke_config(act_mask=mode))
             assert len(records) == 4
+            assert checked  # every hidden layer's activations, at every step
 
     def test_divergence_raises(self):
         config = self.smoke_config(lr=1e100, epochs=2)
