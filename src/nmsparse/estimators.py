@@ -281,8 +281,8 @@ def mvue12_selection_probs(values: np.ndarray) -> np.ndarray:
 #
 # Scaled by S/2 in regimes 1-2 and by b1 + b2 + b3 in regime 3, the running
 # sums of the six pair probabilities (in PAIR_INDEX_COLUMNS order) are
-#   0, max(2 b1 + b3 - b4, 0) / 4, b1,
-#   b1 + max(min(2 b2 + b3 - b4, 2 (b1 + b2 + b3 - b4)), 0) / 4, b1 + b2
+#   0, max(2 b1 - (b4 - b3), 0) / 4, b1,
+#   b1 + max(min(2 b2 - (b4 - b3), 2 ((b1 + b2) - (b4 - b3))), 0) / 4, b1 + b2
 # in every regime, and the scale itself: the leading 0 excludes the pair
 # (1,2) everywhere, the first clip the pair (1,3) outside regime 1 and the
 # second clip the pair (2,3) in regime 3. The sampler compares u times the
@@ -331,8 +331,11 @@ def _exact24_sums(mags_t: np.ndarray):
     b1, b2, b3, b4 = (b.astype(np.float64, copy=False) for b in (b1, b2, b3, b4))
     small = b1 + b2 + b3
     scale = np.where(b4 > small, small, 0.5 * (small + b4))
-    middle = np.maximum(np.minimum(2.0 * b2 + b3 - b4, 2.0 * (small - b4)), 0.0)
-    sums = (0.25 * np.maximum(2.0 * b1 + b3 - b4, 0.0), b1, b1 + 0.25 * middle, b1 + b2)
+    # b4 - b3 is formed first, exactly where b4 <= 2 b3, so that no clip
+    # loses b1 or b2 beside b3: a sum of b3 and them may round to b4.
+    gap, low = b4 - b3, b1 + b2
+    middle = np.maximum(np.minimum(2.0 * b2 - gap, 2.0 * (low - gap)), 0.0)
+    sums = (0.25 * np.maximum(2.0 * b1 - gap, 0.0), b1, b1 + 0.25 * middle, low)
     return ranks, scale, sums, b4 == 0.0, (small == 0.0) & (b4 > 0.0)
 
 
