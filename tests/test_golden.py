@@ -80,8 +80,8 @@ def test_pruned_files_keep_their_digests(kind, axis, tmp_path):
 
 # (step, refine_edges): digest of the scan_summary CSV
 SCAN_DIGESTS = {
-    (0.02, False): "f65df91f47cdd296ee0aa659ac842b6f3f2ad593fea5b513d7d7a08ddc28ad5d",
-    (0.1, True): "df46df9109e2d6e317bd5592fb0d763876db2183657f6f9ead4bde545b991fdf",
+    (0.02, False): "031a45a8aec435d7e015c0ce083854ebf1c0e83b2080177019709bd5db1e6288",
+    (0.1, True): "0c4e296b873a0de5f09c6ec7d98d6473053e8fb58bd73c9467d455bab12da8d5",
 }
 
 
