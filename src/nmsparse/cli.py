@@ -10,8 +10,6 @@ import argparse
 import sys
 import threading
 
-import numpy as np
-
 from . import analysis, estimators, tensorio, traindemo
 from .core import SparsityPattern, pattern_violations
 from .estimators import EstimatorKind

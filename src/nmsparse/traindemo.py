@@ -289,8 +289,8 @@ def masked_gradient_check(
     """Empirical mean of repeated gradient maskings against the true
     gradient, captured mid-training.
 
-    Runs the configured training loop up to GRADCHECK_STEP updates, takes the
-    unmasked pre-activation gradient of ``layer`` on that step's batch,
+    Runs the configured training loop for GRADCHECK_STEP updates, takes
+    the unmasked pre-activation gradient of ``layer`` on the next batch,
     then redraws the mask ``redraws`` times. z-scores are
     |mean - g| / (sd_i / sqrt(redraws)) per component with sd_i from the
     closed-form estimator variance; axis-remainder columns are excluded
