@@ -407,7 +407,7 @@ def _squared_error_sd(
     |a|; a zero entry survives as 0), 0 otherwise.
     """
     keep = np.array([[i in kept_set for i in range(values.shape[1])] for kept_set in sets])
-    d = METHODS[kind].deviation(values, None) if kind.is_unbiased else 0.0
+    d = METHODS[kind].deviation(values, None) if METHODS[kind].rescale else 0.0
     kept = np.where(values != 0.0, d * d, 0.0)
     err = np.where(keep, kept[:, None, :], (values * values)[:, None, :]).sum(axis=2)
     dev = err - (probs * err).sum(axis=1, keepdims=True)
@@ -454,21 +454,24 @@ def random_test_blocks(count: int, m: int, seed: int) -> np.ndarray:
     return np.concatenate([normal, mags * signs], axis=0)
 
 
+# verify_estimator's bound: every block's z is at most SIGMA.
+SIGMA = 5.0
+
+
 def verify_estimator(
     kind: EstimatorKind,
     num_blocks: int = 100,
     samples: int = 10_000,
     seed: int = 0,
     pattern: SparsityPattern | None = None,
-    sigma: float = 5.0,
 ) -> list[PropertyCheck]:
     """Run the unbiasedness / variance / frequency / pattern suite.
 
     Each property passes only if it holds for every sampled block at the
-    ``sigma`` standard-error level. Biased methods genuinely fail the
+    SIGMA standard-error level. Biased methods genuinely fail the
     unbiasedness property; that is reported, not masked.
     """
-    pattern = _pattern_for(kind, pattern, 0 if kind is not EstimatorKind.GREEDY_MSE else 4)
+    pattern = _pattern_for(kind, pattern, 4)
     blocks = random_test_blocks(num_blocks, pattern.m, seed)
 
     error, variance = entry_moments(blocks, kind, pattern)
@@ -492,7 +495,7 @@ def verify_estimator(
 
         # Each statistical check divides by the larger of the empirical and
         # the closed-form standard error, and a floor, so that the reported
-        # z and the verdict agree: z > sigma is the failure condition. The
+        # z and the verdict agree: z > SIGMA is the failure condition. The
         # closed form keeps the check meaningful where a near-certain keep
         # or drop leaves a constant sample, whose empirical SE is zero; the
         # floor absorbs float rounding where both are zero because the
@@ -500,23 +503,23 @@ def verify_estimator(
         expected = mse_expected[idx]
         floor = 1e-9 * max(1.0, abs(expected))
         var_z.append(float(abs(report.mse_mean - expected) / max(
-            report.mse_se, mse_se_closed[idx], floor / sigma
+            report.mse_se, mse_se_closed[idx], floor / SIGMA
         )))
         if kind.is_stochastic:
             diff = np.abs(report.empirical_mean - blocks[idx])
-            se = np.maximum(np.maximum(report.mean_se, mean_se_closed[idx]), 1e-12 / sigma)
+            se = np.maximum(np.maximum(report.mean_se, mean_se_closed[idx]), 1e-12 / SIGMA)
             bias_z.append(float(np.max(diff / se)))
             zs = [_frequency_z(round(report.pair_frequencies.get(kept_set, 0.0) * samples),
-                               samples, float(p), sigma)
+                               samples, float(p), SIGMA)
                   for kept_set, p in zip(kept_sets, set_probs[idx])]
             extra = set(report.pair_frequencies) - set(kept_sets)
             freq_z.append(max(zs))
-            freq_failed.append(max(zs) > sigma or any(report.pair_frequencies[k] > 0 for k in extra))
+            freq_failed.append(max(zs) > SIGMA or any(report.pair_frequencies[k] > 0 for k in extra))
 
     def z_check(name: str, zs: list[float], failed: list[bool]) -> PropertyCheck:
         count = sum(failed)
         return PropertyCheck(name, count == 0, f"worst z={functools.reduce(max, zs, 0.0):.2f}, "
-                                               f"{count}/{num_blocks} blocks outside {sigma} SE")
+                                               f"{count}/{num_blocks} blocks outside {SIGMA} SE")
 
     checks = [
         PropertyCheck(
@@ -524,10 +527,10 @@ def verify_estimator(
             pattern_failures == 0,
             f"{pattern_failures}/{num_blocks} blocks violated {pattern} structure",
         ),
-        z_check("variance", var_z, [z > sigma for z in var_z]),
+        z_check("variance", var_z, [z > SIGMA for z in var_z]),
     ]
     if kind.is_stochastic:
-        checks.append(z_check("unbiased", bias_z, [z > sigma for z in bias_z]))
+        checks.append(z_check("unbiased", bias_z, [z > SIGMA for z in bias_z]))
         checks.append(z_check("frequency", freq_z, freq_failed))
     else:
         # Greedy is deterministic: re-pruning must reproduce the MC mean

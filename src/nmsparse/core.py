@@ -142,8 +142,6 @@ class BlockedTensor:
     @classmethod
     def from_array(cls, arr, block_axis: int = -1) -> "BlockedTensor":
         arr = np.asarray(arr)
-        if arr.ndim == 0:
-            raise ValueError("scalar tensors cannot be blocked")
         return cls(arr.shape, arr, block_axis)
 
     def as_array(self) -> np.ndarray:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import itertools
 import math
 from typing import Callable
 
@@ -74,10 +73,6 @@ class EstimatorKind(enum.Enum):
     @property
     def is_stochastic(self) -> bool:
         return METHODS[self].kept_set_probs is not None
-
-    @property
-    def is_unbiased(self) -> bool:
-        return METHODS[self].rescale
 
     @classmethod
     def from_name(cls, name: str) -> "EstimatorKind":
@@ -711,14 +706,15 @@ def prune_array(
     its dtype, float32 or float64: row-major, or column-major where the
     whole array repeats one block, as np.empty_like of a broadcast row.
     The kernel runs on chunks of at most PRUNE_CHUNK_BLOCKS blocks, whole
-    lanes or part of one, one at a time, each drawing its uniforms in turn:
-    exactly the uniforms of one draw. Blocks not in row-major order, as a
-    lane view of any axis but the innermost, are first copied into the
-    output, which each chunk's results then overwrite. Leading axes of
-    stride 0, as from np.broadcast_to, repeat the blocks; the kernel gets
-    them once. Out-of-range blocks are the kernels' to scale (see Method);
-    a survivor beyond float64 is +-inf. Blocks that hold inf or NaN raise
-    ValueError, a repeated block checked once.
+    draws or part of one draw, in row-major order, each drawing its
+    uniforms in turn: exactly the uniforms of one draw. Blocks not in
+    row-major order, as a lane view of any axis but the innermost, are
+    first copied into the output, which each chunk's results then
+    overwrite. Leading axes of stride 0, as from np.broadcast_to, repeat
+    the blocks; the kernel gets them once per chunk. Out-of-range blocks
+    are the kernels' to scale (see Method); a survivor beyond float64 is
+    +-inf. Blocks that hold inf or NaN raise ValueError. An empty array
+    draws nothing.
     """
     pattern = resolve_pattern(kind, pattern)
     values = _float_data(values)
@@ -727,43 +723,37 @@ def prune_array(
     method = METHODS[kind]
     if kind.is_stochastic and stream is None:
         raise ValueError(f"method {kind.value!r} is stochastic and needs a RandomStream")
+    if not values.size:
+        return np.empty(values.shape, values.dtype), np.empty(values.shape, bool)
 
-    def kernel(part: np.ndarray, reps: int) -> list[np.ndarray]:
-        # The first reps axes repeat the blocks, row-major: a (k, m) view.
-        blocks = part[(0,) * reps].reshape(-1, pattern.m)
-        if not np.isfinite(blocks).all():
-            raise ValueError(f"method {kind.value!r} needs finite blocks, got inf or NaN")
-        draws = math.prod(part.shape[:reps])
-        u = stream.uniforms((draws, len(blocks))) if kind.is_stochastic else None
-        out, mask = method.kernel(blocks, u, pattern)
-        # Greedy's (k, m) results broadcast over the repeats when written.
-        return [a.reshape(part.shape[reps:] if a.ndim == 2 else part.shape) for a in (out, mask)]
-
-    lead = values.shape[:-1]
-    reps = next((i for i, n in enumerate(lead) if values.strides[i] or not n), len(lead))
-    order = "F" if math.prod(lead[reps:]) == 1 else "C"
-    out = np.empty(values.shape, values.dtype, order=order)
-    mask = np.empty(values.shape, bool, order=order)
-    distinct = values[(0,) * reps]
-    if not distinct.flags.c_contiguous:  # copied once, into out where not repeated
-        values = np.broadcast_to(_copy_blocks(distinct, None if reps else out), values.shape)
-    # Chunks slice one dimension of the blocks' layout, the ones after it whole.
-    axis = len(lead) - 1
-    while axis and math.prod(lead[axis:]) <= PRUNE_CHUNK_BLOCKS:
-        axis -= 1
-    step = PRUNE_CHUNK_BLOCKS // max(math.prod(lead[axis + 1 :]), 1)
-    for outer in itertools.product(*map(range, lead[:axis])):
-        for start in range(0, lead[axis], step):
-            rows = (*outer, slice(start, start + step))
-            part, part_mask = kernel(values[rows], max(reps - axis, 0))
-            if part.shape == values.shape and part.dtype == values.dtype and all(
-                    a.flags.writeable and a.flags[f"{order}_CONTIGUOUS"] for a in (part, part_mask)):
-                return part, part_mask  # one chunk whose results are laid out already
+    reps = next((i for i, stride in enumerate(values.strides[:-1]) if stride), values.ndim - 1)
+    draws, blocks = math.prod(values.shape[:reps]), math.prod(values.shape[reps:-1])
+    order = "F" if blocks == 1 else "C"
+    out = np.empty((draws, blocks, pattern.m), values.dtype, order=order)
+    mask = np.empty(out.shape, bool, order=order)
+    source = values[(0,) * reps]
+    if not source.flags.c_contiguous:  # copied once, into out where not repeated
+        source = _copy_blocks(source, None if reps else out.reshape(source.shape))
+    source = source.reshape(blocks, pattern.m)
+    step, width = max(PRUNE_CHUNK_BLOCKS // blocks, 1), min(blocks, PRUNE_CHUNK_BLOCKS)
+    for draw in range(0, draws, step):
+        for start in range(0, blocks, width):
+            rows = (slice(draw, draw + step), slice(start, start + width))
+            part = source[rows[1]]
+            if not np.isfinite(part).all():
+                raise ValueError(f"method {kind.value!r} needs finite blocks, got inf or NaN")
+            u = stream.uniforms((min(step, draws - draw), len(part))) if kind.is_stochastic else None
+            # Greedy's (k, m) results broadcast over the draws when written.
+            part_out, part_mask = (a.reshape(-1, *a.shape[-2:]) for a in method.kernel(part, u, pattern))
+            if part_out.shape == out.shape and part_out.dtype == out.dtype and all(
+                    a.flags.writeable and a.flags[f"{order}_CONTIGUOUS"] for a in (part_out, part_mask)):
+                # One chunk whose results are laid out already.
+                return part_out.reshape(values.shape), part_mask.reshape(values.shape)
             _write(mask[rows], part_mask)
             # Survivors may overflow float32; the file writers refuse non-finite data.
             with np.errstate(over="ignore"):
-                _write(out[rows], part)
-    return out, mask
+                _write(out[rows], part_out)
+    return out.reshape(values.shape), mask.reshape(values.shape)
 
 
 def prune_tensor(
@@ -779,8 +769,7 @@ def prune_tensor(
     """
     pattern = resolve_pattern(kind, pattern)
     blocks, tail = _split_blocks(t, pattern.m)
-    if blocks.size:
-        blocks = prune_array(blocks, kind, pattern, stream)[0]
+    blocks = prune_array(blocks, kind, pattern, stream)[0]
     blocks.setflags(write=False)
     # Coded before the merge allocates the output: their temporaries never meet.
     split = _coded(blocks, tail)

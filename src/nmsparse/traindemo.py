@@ -25,7 +25,6 @@ from .estimators import (
     EstimatorKind,
     elementwise_variance_array,
     prune_array,
-    resolve_pattern,
 )
 from .rng import RandomStream
 
@@ -33,27 +32,24 @@ DATASET_KINDS = ("two-moons", "spirals")
 ACT_MODES = ("none", "greedy", "relu-greedy")
 # Share of the data held out, from its end, for validation accuracy.
 VAL_FRACTION = 0.25
+# Layer widths: input, two hidden layers, output. Every layer after the
+# input is wide enough for any activation or gradient pattern (m <= 8).
+WIDTHS = (2, 64, 64, 2)
 
 
 @dataclass(frozen=True)
 class MlpConfig:
     """Training configuration; defaults give a quickly separable problem."""
 
-    widths: tuple[int, ...] = (2, 64, 64, 2)
     epochs: int = 120
     lr: float = 0.15
     batch_size: int = 64
     seed: int = 0
     grad_mask: EstimatorKind | None = None
-    grad_pattern: SparsityPattern | None = None
     act_mask: str = "none"
     act_pattern: SparsityPattern = PATTERN_24
 
     def __post_init__(self):
-        if len(self.widths) < 3:
-            raise ValueError("need at least input, one hidden and output widths")
-        if any(w < 1 for w in self.widths):
-            raise ValueError(f"widths must be positive, got {self.widths}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if not 0.0 < self.lr:
@@ -62,18 +58,6 @@ class MlpConfig:
             raise ValueError(f"act_mask must be one of {ACT_MODES}")
         if self.grad_mask is EstimatorKind.GREEDY_MSE:
             raise ValueError("gradient masking requires a stochastic estimator")
-        pattern = self.resolved_grad_pattern()
-        if pattern is not None and max(self.widths[1:]) < pattern.m:
-            raise ValueError(f"no layer is wide enough for gradient pattern {pattern}")
-        if self.act_mask != "none" and min(self.widths[1:-1]) < self.act_pattern.m:
-            raise ValueError(
-                f"hidden widths {self.widths[1:-1]} too small for activation pattern {self.act_pattern}"
-            )
-
-    def resolved_grad_pattern(self) -> SparsityPattern | None:
-        if self.grad_mask is None:
-            return None
-        return resolve_pattern(self.grad_mask, self.grad_pattern)
 
 
 @dataclass(frozen=True)
@@ -140,8 +124,8 @@ class _Mlp:
         self.config = config
         self.weights = []
         self.biases = []
-        for l in range(len(config.widths) - 1):
-            fan_in, fan_out = config.widths[l], config.widths[l + 1]
+        for l in range(len(WIDTHS) - 1):
+            fan_in, fan_out = WIDTHS[l], WIDTHS[l + 1]
             init = stream.split(l)
             self.weights.append(init.normals((fan_in, fan_out), scale=math.sqrt(2.0 / fan_in)))
             self.biases.append(np.zeros(fan_out))
@@ -186,11 +170,10 @@ class _Mlp:
     def apply_gradients(self, inputs, grads, grad_streams) -> None:
         config = self.config
         kind = config.grad_mask
-        pattern = config.resolved_grad_pattern()
         for l in range(len(self.weights)):
             g = grads[l]
             if kind is not None:
-                g = _mask_rows(g, kind, pattern, grad_streams[l])[0]
+                g = _mask_rows(g, kind, kind.required_pattern, grad_streams[l])[0]
             self.weights[l] -= config.lr * (inputs[l].T @ g)
             self.biases[l] -= config.lr * g.sum(axis=0)
 
@@ -215,7 +198,7 @@ def _training(config: MlpConfig, data: tuple[np.ndarray, np.ndarray] | None):
     master = RandomStream(config.seed, stream=11)
     model = _Mlp(config, master.split(1))
     shuffle_stream = master.split(2)
-    grad_streams = [master.split(100 + l) for l in range(len(config.widths) - 1)]
+    grad_streams = [master.split(100 + l) for l in range(len(WIDTHS) - 1)]
 
     def batches():
         n_train = X_train.shape[0]
@@ -284,14 +267,13 @@ def masked_gradient_check(
     config: MlpConfig,
     kind: EstimatorKind | None = None,
     redraws: int = 10_000,
-    layer: int = 0,
 ) -> GradCheckResult:
     """Empirical mean of repeated gradient maskings against the true
     gradient, captured mid-training.
 
     Runs the configured training loop for GRADCHECK_STEP updates, takes
-    the unmasked pre-activation gradient of ``layer`` on the next batch,
-    then redraws the mask ``redraws`` times. z-scores are
+    the unmasked pre-activation gradient of the first layer on the next
+    batch, then redraws the mask ``redraws`` times. z-scores are
     |mean - g| / (sd_i / sqrt(redraws)) per component with sd_i from the
     closed-form estimator variance; axis-remainder columns are excluded
     since they pass through unmasked.
@@ -300,24 +282,22 @@ def masked_gradient_check(
         kind = config.grad_mask
     if kind is None or kind is EstimatorKind.GREEDY_MSE:
         raise ValueError("the gradient-mean check needs a stochastic estimator")
-    pattern = resolve_pattern(kind, config.grad_pattern)
+    pattern = kind.required_pattern
 
     model, update, _, batches = _training(config, None)
     for step, (*_, X_batch, y_batch) in enumerate(batches):
         inputs, grads, _ = model.layer_gradients(X_batch, y_batch)
         if step == GRADCHECK_STEP:
-            captured = grads[layer]
+            captured = grads[0]
             break
         update(inputs, grads)
 
     blocks = _lane_blocks(captured, 1, pattern.m)[0].reshape(-1, pattern.m)
-    if blocks.size == 0:
-        raise ValueError(f"layer {layer} has no whole {pattern} blocks")
     # All-zero blocks (dead units) are reproduced exactly by every method
     # and carry no information; check only the live ones.
     blocks = blocks[np.any(blocks != 0.0, axis=1)]
     if blocks.shape[0] == 0:
-        raise ValueError(f"layer {layer} gradient is entirely zero at step {GRADCHECK_STEP}")
+        raise ValueError(f"first-layer gradient is entirely zero at step {GRADCHECK_STEP}")
 
     stream = RandomStream(GRADCHECK_SEED, stream=13)
     total = np.zeros_like(blocks)

@@ -16,7 +16,7 @@ order), and ``approx24`` as two sequential magnitude-proportional draws.
 from fractions import Fraction
 from typing import NamedTuple
 
-from nmsparse.estimators import PAIR_INDEX_COLUMNS, EstimatorKind
+from nmsparse.estimators import METHODS, PAIR_INDEX_COLUMNS, EstimatorKind
 
 ONE_OF_TWO = ((0,), (1,))
 
@@ -103,7 +103,7 @@ def law(kind: EstimatorKind, block, kept: int = 2) -> Law:
         p = [sum((s for s, kept_set in zip(set_probs, sets) if i in kept_set), Fraction(0))
              for i in range(len(a))]
     q = [1 - pi for pi in p]
-    if kind.is_unbiased:
+    if METHODS[kind].rescale:
         d = [qi * m / pi if m else None for m, pi, qi in zip(mags, p, q)]
         error = [m * di if m else Fraction(0) for m, di in zip(mags, d)]
         variance = error

@@ -1135,6 +1135,23 @@ class TestPruneArrayChunks:
         np.testing.assert_array_equal(out.view(np.uint64), ref_out.view(np.uint64))
         np.testing.assert_array_equal(mask, ref_mask)
 
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @pytest.mark.parametrize("axis", [0, -1])
+    @pytest.mark.parametrize("chunk", [3, 5, PRUNE_CHUNK_BLOCKS])
+    def test_lane_view_bit_identical_to_one_kernel_call(self, kind, axis, chunk, monkeypatch):
+        # Chunks run in row-major order over the lanes' blocks, so a chunk
+        # may end inside one lane and go on in the next.
+        pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
+        arr = RandomStream(118).normals((7, 9000)).astype(np.float32)
+        view = _lane_blocks(arr, axis % 2, pattern.m)[0]
+        monkeypatch.setattr(estimators, "PRUNE_CHUNK_BLOCKS", chunk)
+        out, mask = prune_array(view, kind, pattern, RandomStream(119))
+        ref_out, ref_mask = whole_array_kernel(np.ascontiguousarray(view).reshape(-1, pattern.m), kind, 119)
+        assert out.dtype == np.float32 and out.shape == mask.shape == view.shape
+        np.testing.assert_array_equal(out.reshape(-1, pattern.m).view(np.uint32),
+                                      ref_out.astype(np.float32).view(np.uint32))
+        np.testing.assert_array_equal(mask.reshape(-1, pattern.m), ref_mask)
+
     # Survivors of +-3e38 entries may lie beyond float32: the cast is +-inf.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("kind", list(EstimatorKind))
@@ -1222,6 +1239,32 @@ class TestPruneArrayChunks:
             prune_array(values, EstimatorKind.MVUE12, None, RandomStream(0))
         # No chunk after the failing one runs.
         assert calls == [PRUNE_CHUNK_BLOCKS, PRUNE_CHUNK_BLOCKS, 3][: failing_chunk + 1]
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_empty_inputs_call_no_kernel_and_draw_nothing(self, kind, monkeypatch):
+        pattern = resolve_pattern(kind, P24 if kind is EstimatorKind.GREEDY_MSE else None)
+        m = pattern.m
+        calls = []
+
+        def counting(v, u, pattern):
+            calls.append(len(v))
+            return method.kernel(v, u, pattern)
+
+        method = METHODS[kind]
+        monkeypatch.setitem(estimators.METHODS, kind, dataclasses.replace(method, kernel=counting))
+        inputs = [
+            np.zeros((0, m)),
+            np.zeros((3, 0, m)),
+            np.broadcast_to(np.zeros((0, m)), (5, 0, m)),
+            np.broadcast_to(np.ones(m), (0, m)),  # an empty broadcast row
+            np.broadcast_to(np.zeros((0, m)), (1 << 40, 0, m)),  # stride 0 over 2^40 draws
+        ]
+        for values in inputs:
+            stream = RandomStream(120)
+            out, mask = prune_array(values, kind, pattern, stream)
+            assert out.shape == mask.shape == values.shape
+            np.testing.assert_array_equal(stream.uniforms(4), RandomStream(120).uniforms(4))
+        assert calls == []
 
     def test_caller_errstate_holds_in_every_chunk(self, monkeypatch):
         seen = []

@@ -115,7 +115,7 @@ def test_deviation_is_q_a_over_p(kind, data):
     p, q = probs(kind, values)
     mags = np.abs(values)
     with np.errstate(invalid="ignore", divide="ignore"):
-        want = q * mags / p if kind.is_unbiased else q * mags
+        want = q * mags / p if METHODS[kind].rescale else q * mags
     got = METHODS[kind].deviation(values, pattern)
     normal = (mags > 0.0) & (p > 0.0) & (q > 0.0)
     np.testing.assert_allclose(got[normal], want[normal], rtol=8 * np.finfo(float).eps)
