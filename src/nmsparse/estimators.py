@@ -703,18 +703,18 @@ def prune_array(
     tensor's lane view from core._lane_blocks, with the given method.
 
     Returns (pruned values, keep mask) of the input's shape, the values in
-    its dtype, float32 or float64: row-major, or column-major where the
-    whole array repeats one block, as np.empty_like of a broadcast row.
-    The kernel runs on chunks of at most PRUNE_CHUNK_BLOCKS blocks, whole
-    draws or part of one draw, in row-major order, each drawing its
-    uniforms in turn: exactly the uniforms of one draw. Blocks not in
-    row-major order, as a lane view of any axis but the innermost, are
-    first copied into the output, which each chunk's results then
-    overwrite. Leading axes of stride 0, as from np.broadcast_to, repeat
-    the blocks; the kernel gets them once per chunk. Out-of-range blocks
-    are the kernels' to scale (see Method); a survivor beyond float64 is
-    +-inf. Blocks that hold inf or NaN raise ValueError. An empty array
-    draws nothing.
+    its dtype, float32 or float64: row-major, or where the whole array
+    repeats one block, each entry's draws contiguous, as np.empty_like
+    lays out a broadcast (draws, m) row. Leading axes of stride 0, as from
+    np.broadcast_to, are draws that repeat the blocks. The kernel runs on
+    chunks of at most PRUNE_CHUNK_BLOCKS blocks, whole draws or part of
+    one, in row-major order, each drawing its uniforms in turn: exactly
+    the uniforms of one draw. It gets a chunk's blocks once, however many
+    draws. Blocks not in row-major order, as a lane view of any axis but
+    the innermost, are first copied into the output, which each chunk's
+    results overwrite. Out-of-range blocks are the kernels' to scale (see
+    Method); a survivor beyond float64 is +-inf. Blocks that hold inf or
+    NaN raise ValueError. An empty array draws nothing.
     """
     pattern = resolve_pattern(kind, pattern)
     values = _float_data(values)
